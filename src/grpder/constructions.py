@@ -27,6 +27,7 @@ from .errors import (
     NotAbelian,
     NotADerivation,
     NotAField,
+    NotAHomomorphism,
     NotAnAutomorphism,
     NotClassPreserving,
     OrderCapExceeded,
@@ -107,26 +108,14 @@ def find_unit_difference(
     return None
 
 
-def _validate_automorphism(group: FiniteGroup, mapping) -> list[int]:
-    f = [int(v) for v in mapping]
-    n = group.order
-    if len(f) != n or any(not 0 <= v < n for v in f):
-        raise NotAnAutomorphism("index map must send [0,n) into [0,n)")
-    if len(set(f)) != n:
-        raise NotAnAutomorphism("index map is not a bijection")
-    if f[0] != 0:
-        raise NotAnAutomorphism("map must fix the identity")
-    table = group.table
-    for i in range(n):
-        for j in range(n):
-            if f[table[i][j]] != table[f[i]][f[j]]:
-                raise NotAnAutomorphism(f"f(g{i}*g{j}) != f(g{i})*f(g{j})")
-    return f
-
-
 def class_preserving_check(group: FiniteGroup, mapping) -> bool:
     """True iff the automorphism maps every conjugacy class onto itself."""
-    f = _validate_automorphism(group, mapping)
+    try:
+        f = endo_from_group_map(group, QQ, mapping).group_map
+    except NotAHomomorphism as exc:
+        raise NotAnAutomorphism(str(exc)) from exc
+    if len(set(f)) != group.order:
+        raise NotAnAutomorphism("index map is not a bijection")
     for cls in conjugacy_classes(group):
         members = set(cls.members)
         if {f[x] for x in members} != members:

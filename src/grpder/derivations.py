@@ -153,7 +153,14 @@ def _check_images(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> Non
 
 
 def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> bool:
-    """Check ``d(1) = 0`` and the twisted Leibniz rule on every basis pair."""
+    """Check ``d(1) = 0`` and the twisted Leibniz rule on the pairs ``(g, s)``.
+
+    Here ``g`` runs over the group and ``s`` over its generators. With
+    ``d(1) = 0`` that suffices by induction on word length:
+    ``d(g w s) = d(g w) tau(s) + sigma(g w) d(s)
+    = d(g) tau(w s) + sigma(g) (d(w) tau(s) + sigma(w) d(s))``, and the
+    bracket is ``d(w s)``. The argument holds over Z, Q and F_p alike.
+    """
     if isinstance(images, DerivationMap):
         images = images.images
     images = list(images)
@@ -166,14 +173,13 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
     p = sigma.ring.characteristic
     sigma_images = sigma.images
     tau_images = tau.images
-    for i in range(1, n):
-        check_cancel(cancel)
-        di = images[i]
-        si = sigma_images[i]
-        row_ij = table[i]
-        for j in range(1, n):
-            dj = images[j]
-            tj = tau_images[j]
+    for j in group.generators():
+        dj = images[j]
+        tj = tau_images[j]
+        for i in range(1, n):
+            check_cancel(cancel)
+            di = images[i]
+            si = sigma_images[i]
             acc: dict[int, Scalar] = {}
             for a in di.support:
                 va = di.coeffs[a]
@@ -187,7 +193,7 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
                 for b in dj.support:
                     k = row[b]
                     acc[k] = acc.get(k, 0) + va * dj.coeffs[b]
-            lhs = images[row_ij[j]]
+            lhs = images[table[i][j]]
             for k in lhs.support:
                 acc[k] = acc.get(k, 0) - lhs.coeffs[k]
             if p:
@@ -251,9 +257,11 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
 def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationSpace:
     """Solve the Leibniz system over a field.
 
-    The unknowns are the images ``d(g)`` of the non-identity basis elements;
-    the kernel basis comes back in the canonical reduced-echelon order, so
-    repeated runs produce identical bases.
+    The unknowns are the images ``d(g)`` of the non-identity basis elements,
+    and the rows are the Leibniz rule on the pairs ``(g, s)`` with ``s`` a
+    generator, which has the same solutions as all pairs (see
+    :func:`is_derivation`). The kernel basis comes back in the canonical
+    reduced-echelon order, so it does not depend on which rows were added.
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
@@ -264,14 +272,14 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: 
     inv = [group.inverse(i) for i in range(n)]
     system = LinearSystem(n * (n - 1), ring)
     one = ring.one
-    for i in range(1, n):
-        check_cancel(cancel)
-        si = sigma.images[i]
-        base_i = (i - 1) * n
-        for j in range(1, n):
-            tj = tau.images[j]
+    for j in group.generators():
+        tj = tau.images[j]
+        base_j = (j - 1) * n
+        for i in range(1, n):
+            check_cancel(cancel)
+            si = sigma.images[i]
+            base_i = (i - 1) * n
             t = table[i][j]
-            base_j = (j - 1) * n
             base_t = (t - 1) * n
             for k in range(n):
                 row: dict[int, Scalar] = {}
@@ -315,16 +323,19 @@ def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[Derivati
 
 
 def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
-    """Rows of the witness system ``alpha tau(g) - sigma(g) alpha = d(g)``.
+    """Rows of the witness system ``alpha tau(s) - sigma(s) alpha = d(s)``, ``s`` a generator.
 
     Yields ``(i, k, row)`` where ``row`` maps the coordinate of ``alpha_h``
-    to ``tau(g_i)_{h^-1 x} - sigma(g_i)_{x h^-1}`` at ``x = g_k``.
+    to ``tau(g_i)_{h^-1 x} - sigma(g_i)_{x h^-1}`` at ``x = g_k``. For a
+    derivation ``d`` this has the same solutions as the system over every
+    ``g``: ``d - d_alpha`` is a derivation, and one vanishing on the
+    generators vanishes everywhere by the Leibniz rule.
     """
     group = sigma.group
     n = group.order
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
-    for i in range(1, n):
+    for i in group.generators():
         ti = tau.images[i]
         si = sigma.images[i]
         for k in range(n):
@@ -396,24 +407,24 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     """Integer witness for innerness over Z, decided by Smith normal form.
 
     Builds the stacked system column-by-column from actual group-ring
-    products (a code path independent of :func:`gcd_criterion`).
+    products (a code path independent of :func:`gcd_criterion`), with one
+    block of rows per generator as in :func:`_witness_rows`.
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"integer witness requires Z coefficients, got {sigma.ring}")
     _validated(delta, sigma, tau, cancel)
     group = sigma.group
     n = group.order
+    gens = group.generators()
     columns = []
     for h in range(n):
         basis_h = GroupRingElement.basis(group, ZZ, h)
-        columns.append(
-            [basis_h * tau.images[i] - sigma.images[i] * basis_h for i in range(1, n)]
-        )
+        columns.append([basis_h * tau.images[i] - sigma.images[i] * basis_h for i in gens])
     rows = []
     rhs = []
-    for i in range(1, n):
+    for pos, i in enumerate(gens):
         for k in range(n):
-            rows.append([columns[h][i - 1].coeffs[k] for h in range(n)])
+            rows.append([columns[h][pos].coeffs[k] for h in range(n)])
             rhs.append(delta.images[i].coeffs[k])
     solution = integer_solve(ExactMatrix(ZZ, rows), rhs, cancel=cancel)
     if solution is None:
@@ -424,7 +435,9 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
 def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> bool:
     """Per-coefficient divisibility test for innerness over Z.
 
-    For every pair ``(g, x)`` the row coefficients are
+    It reads every row, not only the generator rows the witness solvers
+    use, so that it stays an oracle independent of them. For every pair
+    ``(g, x)`` the row coefficients are
     ``tau(g)_{h^-1 x} - sigma(g)_{x h^-1}`` as ``h`` runs over the group;
     the test asks that their gcd divide the coefficient of ``x`` in ``d(g)``,
     with the convention that 0 divides only 0. The coefficients are read

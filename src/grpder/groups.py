@@ -46,7 +46,10 @@ class FiniteGroup:
     table identity only; no isomorphism testing is provided.
     """
 
-    __slots__ = ("order", "table", "labels", "name", "_inverse", "_center", "_classes", "_abelian")
+    __slots__ = (
+        "order", "table", "labels", "name",
+        "_inverse", "_center", "_classes", "_abelian", "_generators",
+    )
 
     def __init__(self, table, labels=None, name: str | None = None, *, _validated: bool = False):
         rows = tuple(tuple(int(v) for v in row) for row in table)
@@ -60,13 +63,20 @@ class FiniteGroup:
         self._center: tuple[int, ...] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._abelian: bool | None = None
+        self._generators: tuple[int, ...] | None = None
         if not _validated:
             self.validate()
 
     # -- axioms ---------------------------------------------------------
 
     def validate(self, cancel: CancelToken | None = None) -> None:
-        """Re-assert all four group axioms on the stored table."""
+        """Re-assert all four group axioms on the stored table.
+
+        Associativity is checked by Light's test: ``(x s) y = x (s y)`` for
+        all ``x, y`` and every ``s`` in :meth:`generators`. The elements
+        ``m`` with ``(x m) y = x (m y)`` for all ``x, y`` are closed under
+        the product, so holding on a generating set means holding everywhere.
+        """
         n = self.order
         if n == 0:
             raise NotAGroup("not-latin", "empty table")
@@ -90,13 +100,12 @@ class FiniteGroup:
         for j in range(n):
             if frozenset(table[i][j] for i in range(n)) != full:
                 raise NotAGroup("not-latin", f"column {j} repeats a value")
-        for i in range(n):
-            check_cancel(cancel)
-            row_i = table[i]
-            for j in range(n):
-                ij = row_i[j]
-                row_ij = table[ij]
-                row_j = table[j]
+        for j in self.generators():
+            row_j = table[j]
+            for i in range(n):
+                check_cancel(cancel)
+                row_i = table[i]
+                row_ij = table[row_i[j]]
                 for k in range(n):
                     if row_ij[k] != row_i[row_j[k]]:
                         raise NotAGroup(
@@ -105,6 +114,44 @@ class FiniteGroup:
         for i in range(n):
             if 0 not in table[i]:
                 raise NotAGroup("no-inverse", f"element {i} has no inverse")
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, ascending; cached.
+
+        Greedy: take the least index not yet reached, then drop any chosen
+        element the others already reach. Reaching means right
+        multiplication from the identity, which for a group is the generated
+        subgroup and for any table with identity the generated submagma, so
+        :meth:`validate` may rely on it before associativity is known. Direct
+        products are seeded with the embedded factor generators instead.
+        """
+        if self._generators is None:
+            chosen: list[int] = []
+            reached = {0}
+            for i in range(1, self.order):
+                if i not in reached:
+                    chosen.append(i)
+                    reached = self._reached(chosen)
+            for s in list(chosen):
+                rest = [t for t in chosen if t != s]
+                if len(self._reached(rest)) == self.order:
+                    chosen = rest
+            self._generators = tuple(chosen)
+        return self._generators
+
+    def _reached(self, gens) -> set[int]:
+        """Elements reached from the identity by right multiplication by ``gens``."""
+        table = self.table
+        seen = {0}
+        stack = [0]
+        while stack:
+            row = table[stack.pop()]
+            for s in gens:
+                y = row[s]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
 
     # -- basic operations ------------------------------------------------
 
@@ -189,10 +236,21 @@ class Subset:
 
 
 def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
-    """Validate a Cayley table eagerly and wrap it as a FiniteGroup."""
+    """Validate a Cayley table eagerly and wrap it as a FiniteGroup.
+
+    This is the boundary for tables from outside the program: every row
+    must be a list or tuple and every entry a plain ``int`` (not a bool, a
+    float or a digit string), then the group axioms are checked.
+    """
     rows = list(table)
     if len(rows) > max_group_order():
         raise OrderCapExceeded(f"order {len(rows)} exceeds cap {max_group_order()}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise NotAGroup("not-latin", f"row {i} is not a list")
+        for v in row:
+            if type(v) is not int:
+                raise NotAGroup("not-latin", f"entry {v!r} in row {i} is not an integer")
     return FiniteGroup(rows, labels=labels, name=name)
 
 
@@ -320,6 +378,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
     Inputs are already-validated groups, so the product table is a group by
     construction and is not re-validated (``validate()`` stays available).
+    Its generators are the embedded generators of the two factors.
     """
     n1, n2 = g1.order, g2.order
     order = n1 * n2
@@ -341,7 +400,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if g1.labels is not None and g2.labels is not None:
         labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(n1) for b in range(n2)]
     name = f"{g1.name}x{g2.name}" if g1.name and g2.name else None
-    return FiniteGroup(table, labels=labels, name=name, _validated=True)
+    product = FiniteGroup(table, labels=labels, name=name, _validated=True)
+    product._generators = g2.generators() + tuple(a * n2 for a in g1.generators())
+    return product
 
 
 def center(group: FiniteGroup) -> Subset:

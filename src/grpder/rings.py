@@ -167,9 +167,16 @@ def ring_from_token(token: str, p: int | None = None) -> Ring:
 
 
 def parse_scalar(ring: Ring, raw) -> Scalar:
-    """Parse a JSON scalar: an int or a reduced "num/den" string."""
+    """Parse a JSON scalar: an int or a reduced "num/den" string.
+
+    Raises ValueError on anything else, a zero denominator included.
+    """
     if isinstance(raw, str):
-        return ring.coerce(Fraction(raw))
+        try:
+            value = Fraction(raw)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {raw!r}") from exc
+        return ring.coerce(value)
     return ring.coerce(raw)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grpder import (
     GroupRingElement,
     identity_endo,
@@ -176,6 +178,46 @@ def test_inner_check_invalid_derivation_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "check failed" in err
+
+
+def test_zero_denominator_coefficient_exits_two(capsys, tmp_path):
+    path = write_group(tmp_path, "C2")
+    sigma = {
+        "images": [
+            {"ring": "Q", "coeffs": [1, 0]},
+            {"ring": "Q", "coeffs": ["1/0", 0]},
+        ]
+    }
+    sigma_path = tmp_path / "sigma.json"
+    sigma_path.write_text(dumps_canonical(sigma))
+    code, out, err = run(
+        capsys, "h1", "--group", path, "--sigma", str(sigma_path), "--field", "Q"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, True], [True, 0]],
+        [[0, 1], [1, 0.0]],
+        [[0, 1.5], [1, 0]],
+        [[0, "1"], ["1", 0]],
+        [[0, 1], "10"],
+    ],
+    ids=["bool", "integral-float", "float", "digit-string", "string-row"],
+)
+def test_group_info_rejects_non_integer_entries(capsys, tmp_path, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"table": table}))
+    code, out, err = run(capsys, "group", "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err or "not a list" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_gcd_criterion_command(capsys, tmp_path):
