@@ -33,6 +33,7 @@ from .serialization import (
     endo_from_json,
     group_from_json,
     group_to_json,
+    ring_to_json_fields,
 )
 from .util import DEFAULT_SEED
 from .verification import CRITERIA, run_criteria
@@ -99,12 +100,6 @@ def _group_summary(group) -> dict:
     return data
 
 
-def _ring_fields(ring: Ring) -> dict:
-    if ring.token.startswith("F"):
-        return {"ring": "Fp", "p": ring.characteristic}
-    return {"ring": ring.token}
-
-
 # -- group ---------------------------------------------------------------
 
 
@@ -153,7 +148,7 @@ def cmd_h1(args) -> int:
     space = derivation_space(sigma, tau)
     data = {
         "group": _group_summary(group),
-        **_ring_fields(ring),
+        **ring_to_json_fields(ring),
         "derivation_dim": len(space.basis),
         "inner_dim": len(space.inner_basis),
         "h1": space.h1_dimension,
@@ -189,7 +184,7 @@ def cmd_inner_check(args) -> int:
     sigma = _load_endo(args.sigma, group, ring)
     tau = _load_endo(args.tau, group, ring)
     delta = _load_delta(args, group, ring, sigma, tau)
-    data = {"group": _group_summary(group), **_ring_fields(ring)}
+    data = {"group": _group_summary(group), **ring_to_json_fields(ring)}
     if ring == ZZ:
         witness = inner_witness_integer(delta, sigma, tau)
         by_gcd = gcd_criterion(delta, sigma, tau)
@@ -221,7 +216,7 @@ def cmd_gcd_criterion(args) -> int:
     delta = _load_delta(args, group, ring, sigma, tau)
     data = {
         "group": _group_summary(group),
-        **_ring_fields(ring),
+        **ring_to_json_fields(ring),
         "gcd_criterion": gcd_criterion(delta, sigma, tau),
     }
     _emit(data, args.output)
@@ -237,7 +232,10 @@ def cmd_counterexample(args) -> int:
     except AlgebraError as exc:
         raise UsageFailure(str(exc)) from exc
     if args.sigma_by is not None:
-        conjugator = base.index_of_label(args.sigma_by)
+        try:
+            conjugator = base.index_of_label(args.sigma_by)
+        except ValueError as exc:
+            raise UsageFailure(str(exc)) from exc
     else:
         conjugator = next(
             i for i in range(base.order) if i not in set(center(base).members)

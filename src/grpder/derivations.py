@@ -30,6 +30,7 @@ from .group_ring import (
     commutator_span_system,
     invert,
     is_central_endo,
+    linear_extension,
 )
 from .groups import FiniteGroup
 from .linalg import ExactMatrix, LinearSystem, integer_solve
@@ -38,34 +39,30 @@ from .util import CancelToken, check_cancel
 
 
 class DerivationMap:
-    """Linear map on RG given by basis images, tied to its (sigma, tau) pair."""
+    """A (sigma, tau)-derivation of RG given by basis images, tied to its pair.
+
+    The constructor raises NotADerivation unless :func:`is_derivation` holds,
+    so solvers need not check again. Producers that are derivations by
+    construction (inner maps, solver bases, +, -, scale, to_ring) skip it.
+    """
 
     __slots__ = ("group", "ring", "sigma", "tau", "images")
 
-    def __init__(self, group, ring, sigma, tau, images):
+    def __init__(self, group, ring, sigma, tau, images, *, cancel: CancelToken | None = None, _validated: bool = False):
         self.group = group
         self.ring = ring
         self.sigma = sigma
         self.tau = tau
         self.images = tuple(images)
+        if not _validated:
+            if not group.same_group(sigma.group) or ring != sigma.ring:
+                raise ValueError("a derivation lives on the group and ring of its sigma")
+            if not is_derivation(self.images, sigma, tau, cancel=cancel):
+                raise NotADerivation("images violate d(1) = 0 or the Leibniz rule")
 
     def apply(self, element: GroupRingElement) -> GroupRingElement:
         """Evaluate the linear extension on an arbitrary element."""
-        if not element.group.same_group(self.group):
-            raise MixedGroups("element belongs to a different group")
-        if element.ring != self.ring:
-            raise MixedRings(f"element ring {element.ring} != {self.ring}")
-        ring = self.ring
-        vec = [ring.zero] * self.group.order
-        for i in element.support:
-            ai = element.coeffs[i]
-            img = self.images[i]
-            for k in img.support:
-                vec[k] = vec[k] + ai * img.coeffs[k]
-        p = ring.characteristic
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, ring, vec, _normalized=True)
+        return linear_extension(self.group, self.ring, self.images, element)
 
     def as_vector(self) -> list[Scalar]:
         """Flatten images of non-identity basis elements into one vector."""
@@ -78,31 +75,29 @@ class DerivationMap:
     def is_zero(self) -> bool:
         return all(img.is_zero for img in self.images)
 
-    def _check_same_pair(self, other: "DerivationMap") -> None:
-        if self.sigma != other.sigma or self.tau != other.tau:
-            raise ValueError("derivations are twisted by different endomorphism pairs")
-
     def __add__(self, other: "DerivationMap") -> "DerivationMap":
-        self._check_same_pair(other)
+        _check_same_pair(other, self.sigma, self.tau)
         images = [a + b for a, b in zip(self.images, other.images)]
-        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images)
+        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images, _validated=True)
 
     def __sub__(self, other: "DerivationMap") -> "DerivationMap":
-        self._check_same_pair(other)
+        _check_same_pair(other, self.sigma, self.tau)
         images = [a - b for a, b in zip(self.images, other.images)]
-        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images)
+        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images, _validated=True)
 
     def scale(self, factor: Scalar) -> "DerivationMap":
         images = [img.scale(factor) for img in self.images]
-        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images)
+        return DerivationMap(self.group, self.ring, self.sigma, self.tau, images, _validated=True)
 
-    def to_ring(self, ring: Ring, sigma=None, tau=None) -> "DerivationMap":
+    def to_ring(self, ring: Ring) -> "DerivationMap":
+        """Same images over ``ring``, re-checked only when leaving F_p for another characteristic."""
         return DerivationMap(
             self.group,
             ring,
-            sigma if sigma is not None else self.sigma.to_ring(ring),
-            tau if tau is not None else self.tau.to_ring(ring),
+            self.sigma.to_ring(ring),
+            self.tau.to_ring(ring),
             [img.to_ring(ring) for img in self.images],
+            _validated=self.ring.characteristic in (0, ring.characteristic),
         )
 
     def __eq__(self, other) -> bool:
@@ -141,15 +136,10 @@ def _check_endo_pair(sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
         raise MixedRings(f"sigma ring {sigma.ring} != tau ring {tau.ring}")
 
 
-def _check_images(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
-    _check_endo_pair(sigma, tau)
-    if len(images) != sigma.group.order:
-        raise ValueError("need one candidate image per group basis element")
-    for img in images:
-        if not img.group.same_group(sigma.group):
-            raise MixedGroups("candidate image belongs to a different group")
-        if img.ring != sigma.ring:
-            raise MixedRings(f"image ring {img.ring} != {sigma.ring}")
+def _check_same_pair(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
+    """Raise ValueError unless ``(sigma, tau)`` is the pair ``delta`` was built for."""
+    if not (delta.sigma is sigma or delta.sigma == sigma) or not (delta.tau is tau or delta.tau == tau):
+        raise ValueError("derivation is twisted by a different endomorphism pair")
 
 
 def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> bool:
@@ -164,7 +154,14 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
     if isinstance(images, DerivationMap):
         images = images.images
     images = list(images)
-    _check_images(images, sigma, tau)
+    _check_endo_pair(sigma, tau)
+    if len(images) != sigma.group.order:
+        raise ValueError("need one candidate image per group basis element")
+    for img in images:
+        if not img.group.same_group(sigma.group):
+            raise MixedGroups("candidate image belongs to a different group")
+        if img.ring != sigma.ring:
+            raise MixedRings(f"image ring {img.ring} != {sigma.ring}")
     if not images[0].is_zero:
         return False
     group = sigma.group
@@ -205,13 +202,10 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
 
 
 def derivation_from_images(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationMap:
-    """Validated constructor; raises NotADerivation when Leibniz fails."""
+    """The derivation with these basis images; raises NotADerivation when Leibniz fails."""
     if isinstance(images, DerivationMap):
         images = images.images
-    images = list(images)
-    if not is_derivation(images, sigma, tau, cancel=cancel):
-        raise NotADerivation("images violate d(1) = 0 or the Leibniz rule")
-    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images)
+    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, cancel=cancel)
 
 
 def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
@@ -222,7 +216,7 @@ def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndo
     if x.ring != sigma.ring:
         raise MixedRings(f"witness ring {x.ring} != {sigma.ring}")
     images = [x * tau.images[i] - sigma.images[i] * x for i in range(sigma.group.order)]
-    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images)
+    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, _validated=True)
 
 
 def _require_field(ring: Ring) -> None:
@@ -250,7 +244,7 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
             images.append(
                 GroupRingElement(group, ring, vec[(i - 1) * n : i * n], _normalized=True)
             )
-        maps.append(DerivationMap(group, ring, sigma, tau, images))
+        maps.append(DerivationMap(group, ring, sigma, tau, images, _validated=True))
     return maps
 
 
@@ -375,12 +369,6 @@ def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: Canc
     return derivation_space(sigma, tau, cancel=cancel).h1_dimension
 
 
-def _validated(delta: DerivationMap, sigma, tau, cancel) -> DerivationMap:
-    if not is_derivation(delta.images, sigma, tau, cancel=cancel):
-        raise NotADerivation("input map is not a (sigma, tau)-derivation")
-    return delta
-
-
 def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> GroupRingElement | None:
     """Some ``alpha`` with ``d = d_alpha`` over a field, or None.
 
@@ -389,7 +377,7 @@ def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     """
     ring = sigma.ring
     _require_field(ring)
-    _validated(delta, sigma, tau, cancel)
+    _check_same_pair(delta, sigma, tau)
     group = sigma.group
     system = LinearSystem(group.order, ring, augmented=True)
     for i, k, row in _witness_rows(sigma, tau):
@@ -412,7 +400,7 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"integer witness requires Z coefficients, got {sigma.ring}")
-    _validated(delta, sigma, tau, cancel)
+    _check_same_pair(delta, sigma, tau)
     group = sigma.group
     n = group.order
     gens = group.generators()
@@ -445,7 +433,7 @@ def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"gcd criterion requires Z coefficients, got {sigma.ring}")
-    _validated(delta, sigma, tau, cancel)
+    _check_same_pair(delta, sigma, tau)
     group = sigma.group
     n = group.order
     table = group.table
@@ -483,14 +471,12 @@ def extend_scalars(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndom
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"scalar extension starts from Z, got {sigma.ring}")
-    _validated(delta, sigma, tau, cancel)
+    _check_same_pair(delta, sigma, tau)
     if not is_central_endo(sigma):
         raise NotCentral("sigma does not fix the center of ZG pointwise")
     if not is_central_endo(tau):
         raise NotCentral("tau does not fix the center of ZG pointwise")
-    sigma_q = sigma.to_ring(QQ)
-    tau_q = tau.to_ring(QQ)
-    return delta.to_ring(QQ, sigma=sigma_q, tau=tau_q)
+    return delta.to_ring(QQ)
 
 
 def zc2_congruence_check(
@@ -509,7 +495,7 @@ def zc2_congruence_check(
     """
     ring = sigma.ring
     _require_field(ring)
-    _validated(delta, sigma, tau, cancel)
+    _check_same_pair(delta, sigma, tau)
     u_inv = invert(u)
     if u_inv is None:
         raise NotAUnit("u is not invertible")

@@ -191,6 +191,25 @@ def invert(a: GroupRingElement) -> GroupRingElement | None:
     return GroupRingElement(group, ring, solution, _normalized=True)
 
 
+def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingElement) -> GroupRingElement:
+    """Evaluate the R-linear map with basis images ``images`` on ``element``."""
+    if not element.group.same_group(group):
+        raise MixedGroups("element belongs to a different group")
+    if element.ring != ring:
+        raise MixedRings(f"element ring {element.ring} != {ring}")
+    vec = [ring.zero] * group.order
+    for i in element.support:
+        ai = element.coeffs[i]
+        img = images[i]
+        coeffs = img.coeffs
+        for k in img.support:
+            vec[k] = vec[k] + ai * coeffs[k]
+    p = ring.characteristic
+    if p:
+        vec = [v % p for v in vec]
+    return GroupRingElement(group, ring, vec, _normalized=True)
+
+
 class RingEndomorphism:
     """R-linear ring endomorphism of RG given by images of the group basis."""
 
@@ -229,22 +248,7 @@ class RingEndomorphism:
                     raise NotMultiplicative(i, j)
 
     def apply(self, element: GroupRingElement) -> GroupRingElement:
-        if not element.group.same_group(self.group):
-            raise MixedGroups("element belongs to a different group")
-        if element.ring != self.ring:
-            raise MixedRings(f"element ring {element.ring} != {self.ring}")
-        ring = self.ring
-        vec = [ring.zero] * self.group.order
-        for i in element.support:
-            ai = element.coeffs[i]
-            img = self.images[i]
-            coeffs = img.coeffs
-            for k in img.support:
-                vec[k] = vec[k] + ai * coeffs[k]
-        p = ring.characteristic
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, ring, vec, _normalized=True)
+        return linear_extension(self.group, self.ring, self.images, element)
 
     def to_ring(self, ring: Ring) -> "RingEndomorphism":
         return RingEndomorphism(
@@ -252,7 +256,8 @@ class RingEndomorphism:
             ring,
             [img.to_ring(ring) for img in self.images],
             group_map=self.group_map,
-            _validated=True,
+            # Reducing Z or Q coefficients is a ring map wherever it is defined.
+            _validated=self.ring.characteristic in (0, ring.characteristic),
         )
 
     def __eq__(self, other) -> bool:

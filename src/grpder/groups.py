@@ -240,7 +240,8 @@ def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
 
     This is the boundary for tables from outside the program: every row
     must be a list or tuple and every entry a plain ``int`` (not a bool, a
-    float or a digit string), then the group axioms are checked.
+    float or a digit string), and labels, if given, must be a list of
+    distinct strings; then the group axioms are checked.
     """
     rows = list(table)
     if len(rows) > max_group_order():
@@ -251,6 +252,12 @@ def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
         for v in row:
             if type(v) is not int:
                 raise NotAGroup("not-latin", f"entry {v!r} in row {i} is not an integer")
+    if labels is not None and (
+        not isinstance(labels, (list, tuple))
+        or any(type(s) is not str for s in labels)
+        or len(set(labels)) != len(labels)
+    ):
+        raise ValueError("labels must be a list of distinct strings")
     return FiniteGroup(rows, labels=labels, name=name)
 
 

@@ -37,19 +37,19 @@ def group_from_json(data: dict, name: str | None = None) -> FiniteGroup:
         raise ValueError("group JSON must contain a 'table'")
     table = data["table"]
     order = data.get("order")
-    if order is not None and int(order) != len(table):
-        raise ValueError("declared order does not match table size")
+    if order is not None and (type(order) is not int or order != len(table)):
+        raise ValueError("declared order must be an integer equal to the table size")
     return make_from_table(table, labels=data.get("labels"), name=name)
 
 
-def _ring_to_json_fields(ring: Ring) -> dict:
+def ring_to_json_fields(ring: Ring) -> dict:
     if ring.token.startswith("F"):
         return {"ring": "Fp", "p": ring.characteristic}
     return {"ring": ring.token}
 
 
 def element_to_json(element: GroupRingElement) -> dict:
-    data = _ring_to_json_fields(element.ring)
+    data = ring_to_json_fields(element.ring)
     data["coeffs"] = [element.ring.scalar_to_json(v) for v in element.coeffs]
     return data
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpder import (
     GroupRingElement,
@@ -332,3 +338,65 @@ def test_verify_paper_output_is_byte_stable(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["group", "make"]) == 2  # missing --name
     assert main(["nope"]) == 2
+
+
+def test_counterexample_unknown_label_exits_two(capsys):
+    code, out, err = run(
+        capsys, "counterexample", "--base", "Q8", "--n", "2", "--sigma-by", "nope"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown element label 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"order": 2.7, "table": [[0, 1], [1, 0]], "labels": [1, None]},
+        {"order": True, "table": [[0]]},
+        {"table": [[0, 1], [1, 0]], "labels": ["e", "e"]},
+        {"table": [[0, 1], [1, 0]], "labels": "ab"},
+    ],
+    ids=["float-order", "bool-order", "duplicate-labels", "string-labels"],
+)
+def test_group_info_rejects_bad_order_and_labels(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "group", "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid group file")
+    assert len(err.strip().splitlines()) == 1
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+# Documents shaped like a group file, so that most examples reach past the
+# "no table" check into the table, order and label checks.
+_GROUP_LIKE = st.fixed_dictionaries(
+    {"table": st.lists(st.lists(st.integers(0, 3) | _JSON_SCALARS, max_size=4), max_size=4) | _JSON},
+    optional={"order": _JSON_SCALARS, "labels": st.lists(_JSON_SCALARS, max_size=4) | _JSON},
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_JSON | _GROUP_LIKE)
+def test_group_info_on_arbitrary_json_exits_zero_or_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["group", "info", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpder import (
     CancelToken,
@@ -15,6 +17,7 @@ from grpder import (
     NotCentral,
     center,
     center_basis,
+    commutative_derivation_form,
     conjugation_endo,
     derivation_from_images,
     derivation_space,
@@ -28,7 +31,9 @@ from grpder import (
     inner_space,
     inner_witness,
     inner_witness_integer,
+    inner_witness_with_support,
     invert,
+    is_central_endo,
     is_derivation,
     standard_group,
     twisted_centralizer,
@@ -266,12 +271,12 @@ def test_witness_rejects_invalid_input(c2):
     ident = identity_endo(c2, QQ)
     from grpder.derivations import DerivationMap
 
-    bogus = DerivationMap(
-        c2, QQ, ident, ident,
-        [GroupRingElement.zero(c2, QQ), GroupRingElement.one(c2, QQ)],
-    )
+    # A map that breaks the Leibniz rule cannot reach the solver at all.
     with pytest.raises(NotADerivation):
-        inner_witness(bogus, ident, ident)
+        DerivationMap(
+            c2, QQ, ident, ident,
+            [GroupRingElement.zero(c2, QQ), GroupRingElement.one(c2, QQ)],
+        )
 
 
 def test_witness_coset(s3):
@@ -302,12 +307,11 @@ def test_integer_witness_validates_input(c2):
     ident = identity_endo(c2, ZZ)
     from grpder.derivations import DerivationMap
 
-    candidate = DerivationMap(
-        c2, ZZ, ident, ident,
-        [GroupRingElement.zero(c2, ZZ), GroupRingElement(c2, ZZ, [1, 1])],
-    )
     with pytest.raises(NotADerivation):
-        inner_witness_integer(candidate, ident, ident)
+        DerivationMap(
+            c2, ZZ, ident, ident,
+            [GroupRingElement.zero(c2, ZZ), GroupRingElement(c2, ZZ, [1, 1])],
+        )
 
 
 def test_sign_twist_map_not_integrally_inner(c2):
@@ -482,3 +486,95 @@ def test_cancellation(s3):
     ident = identity_endo(s3, QQ)
     with pytest.raises(Cancelled):
         derivation_space(ident, ident, cancel=token)
+
+
+# -- derivations by construction ------------------------------------------------
+
+PRODUCER_GROUPS = ("C2", "C3", "C4", "C2xC2", "S3", "Q8", "D4")
+
+
+def _random_twist(group, ring, rng):
+    """Identity, a conjugation, the trivial map, or (abelian) inversion."""
+    n = group.order
+    g = rng.randrange(n)
+    maps = [list(range(n)), [0] * n, [group.conjugate(g, x) for x in range(n)]]
+    if group.is_abelian:
+        maps.append([group.inverse(x) for x in range(n)])
+    return endo_from_group_map(group, ring, rng.choice(maps))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PRODUCER_GROUPS),
+    st.sampled_from([QQ, GF(2), GF(3), ZZ]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_closed_producers_yield_derivations(name, ring, seed):
+    # Every producer that skips the constructor's check must still make
+    # derivations; is_derivation is the reference.
+    rng = random.Random(seed)
+    group = standard_group(name)
+    sigma, tau = _random_twist(group, ring, rng), _random_twist(group, ring, rng)
+    x, y = (GroupRingElement(group, ring, [rng.randint(-3, 3) for _ in range(group.order)]) for _ in "xy")
+    dx, dy = inner_derivation(x, sigma, tau), inner_derivation(y, sigma, tau)
+    maps = [dx, dx + dy, dx - dy, dx.scale(rng.randint(-3, 3))]
+    if ring.is_field:
+        space = derivation_space(sigma, tau)
+        maps += [*space.basis, *space.inner_basis]
+        maps += [b.scale(2) - b for b in space.basis[:2]]
+    if ring == ZZ:
+        maps.append(dx.to_ring(QQ))
+        if is_central_endo(sigma) and is_central_endo(tau):
+            maps.append(extend_scalars(dx - dy, sigma, tau))
+    for d in maps:
+        assert is_derivation(d, d.sigma, d.tau)
+
+
+def test_to_ring_from_prime_field_rechecks(c2):
+    # d(g) = 1 is a derivation of F2 C2 (sigma = tau = id) but not of QC2.
+    ident = identity_endo(c2, GF(2))
+    d = derivation_from_images([GroupRingElement.zero(c2, GF(2)), GroupRingElement.one(c2, GF(2))], ident, ident)
+    with pytest.raises(NotADerivation):
+        d.to_ring(QQ)
+
+
+def _pair_mismatch_calls():
+    s3, c2 = standard_group("S3"), standard_group("C2")
+    ident_q, ident_z = identity_endo(s3, QQ), identity_endo(s3, ZZ)
+    conj_q = conjugation_endo(GroupRingElement.basis(s3, QQ, 1))
+    conj_z = conjugation_endo(GroupRingElement.basis(s3, ZZ, 1))
+    x_q = GroupRingElement(s3, QQ, [0, 1, 0, 2, 0, -1])
+    d_q = inner_derivation(x_q, ident_q, ident_q)
+    d_z = inner_derivation(GroupRingElement(s3, ZZ, [0, 1, 0, 2, 0, -1]), ident_z, ident_z)
+    one = GroupRingElement.one(s3, QQ)
+    c2_id, c2_sign = identity_endo(c2, QQ), sign_twist(c2, QQ)
+    d_c2 = inner_derivation(GroupRingElement(c2, QQ, [1, 2]), c2_id, c2_sign)
+    return {
+        "inner_witness": lambda: inner_witness(d_q, conj_q, ident_q),
+        "inner_witness_integer": lambda: inner_witness_integer(d_z, ident_z, conj_z),
+        "gcd_criterion": lambda: gcd_criterion(d_z, conj_z, ident_z),
+        "extend_scalars": lambda: extend_scalars(d_z, conj_z, conj_z),
+        "zc2_congruence_check": lambda: zc2_congruence_check(d_q, conj_q, conj_q, one, x_q),
+        "inner_witness_with_support": lambda: inner_witness_with_support(d_q, ident_q, conj_q, range(6)),
+        "commutative_derivation_form": lambda: commutative_derivation_form(
+            c2_id, c2_id, GroupRingElement.basis(c2, QQ, 1), d_c2
+        ),
+        "add": lambda: d_q + inner_derivation(x_q, conj_q, ident_q),
+        "sub": lambda: d_q - inner_derivation(x_q, ident_q, conj_q),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_pair_mismatch_calls()))
+def test_solvers_reject_a_foreign_pair(call):
+    with pytest.raises(ValueError, match="different endomorphism pair"):
+        _pair_mismatch_calls()[call]()
+
+
+def test_solvers_accept_an_equal_pair(s3):
+    # The pair check is identity first, then equality: equal endomorphisms
+    # built separately are the same pair.
+    x = GroupRingElement(s3, ZZ, [0, 1, 0, 2, 0, -1])
+    d = inner_derivation(x, identity_endo(s3, ZZ), identity_endo(s3, ZZ))
+    other = identity_endo(s3, ZZ)
+    assert gcd_criterion(d, other, other)
+    assert inner_derivation(inner_witness_integer(d, other, other), other, other) == d

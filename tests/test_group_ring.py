@@ -267,3 +267,14 @@ def test_scalar_coercion_rejects_bad_values(c2):
         GroupRingElement(c2, ZZ, [Fraction(1, 2), 0])
     with pytest.raises(ValueError):
         GroupRingElement(c2, QQ, [1.5, 0])
+
+
+def test_to_ring_rechecks_only_when_leaving_a_prime_field(c2):
+    # g -> -g is multiplicative over Z and stays so reduced mod 3, where it
+    # reads g -> 2g; lifting 2g back to Q gives (2g)^2 = 4 != 1.
+    neg_z = endo_from_images([GroupRingElement(c2, ZZ, [1, 0]), GroupRingElement(c2, ZZ, [0, -1])])
+    neg_f3 = neg_z.to_ring(GF(3))
+    assert neg_f3.images[1] == GroupRingElement(c2, GF(3), [0, 2])
+    assert neg_z.to_ring(QQ).images[1] == GroupRingElement(c2, QQ, [0, -1])
+    with pytest.raises(NotMultiplicative):
+        neg_f3.to_ring(QQ)
