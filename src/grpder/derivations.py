@@ -5,7 +5,9 @@ to the Leibniz rule ``d(ab) = d(a) tau(b) + sigma(a) d(b)``. Over a field the
 full derivation space is the kernel of the Leibniz system in the unknowns
 ``d(g)`` for non-identity ``g`` (the identity image is pinned to zero), the
 inner derivations are the image of ``x -> x tau(.) - sigma(.) x``, and the
-first Hochschild cohomology dimension is their difference. Over Z innerness
+first Hochschild cohomology dimension is their difference. When the
+characteristic does not divide ``|G|`` the two spaces are equal, and the
+derivation space is computed from the inner one alone. Over Z innerness
 is decided two independent ways: an integral witness via Smith normal form,
 and a per-equation gcd divisibility test; the two act as mutual oracles.
 """
@@ -249,13 +251,56 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
 
 
 def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationSpace:
-    """Solve the Leibniz system over a field.
+    """The derivation space over a field, its inner subspace and h1.
+
+    When the characteristic does not divide ``|G|`` every derivation is
+    inner: ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
+    ``x tau(a) - sigma(a) x = d(a)``. The basis is then the inner span
+    echelonized on reversed columns, which is the same basis
+    :func:`leibniz_space` returns (one vector per free column, ascending,
+    1 there and 0 at the other free columns), and h1 is 0 without solving
+    the Leibniz system. Otherwise this is :func:`leibniz_space`.
+    """
+    _check_endo_pair(sigma, tau)
+    ring = sigma.ring
+    _require_field(ring)
+    n = sigma.group.order
+    p = ring.characteristic
+    if p and n % p == 0:
+        return leibniz_space(sigma, tau, cancel=cancel)
+    width = n * (n - 1)
+    last = width - 1
+    forward = LinearSystem(width, ring)
+    backward = LinearSystem(width, ring)
+    for row in _inner_rows(sigma, tau, cancel):
+        rank = forward.rank
+        forward.add_row(row)
+        # A row dependent on the earlier rows is dependent in either column order.
+        if forward.rank > rank:
+            backward.add_row({last - c: v for c, v in row.items()})
+    vectors = [vec[::-1] for vec in reversed(backward.span_basis())]
+    return DerivationSpace(
+        group=sigma.group,
+        ring=ring,
+        sigma=sigma,
+        tau=tau,
+        basis=tuple(_maps_from_vectors(vectors, sigma, tau)),
+        inner_basis=tuple(_maps_from_vectors(forward.span_basis(), sigma, tau)),
+        h1_dimension=0,
+    )
+
+
+def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationSpace:
+    """Solve the Leibniz system over a field, in any characteristic.
 
     The unknowns are the images ``d(g)`` of the non-identity basis elements,
     and the rows are the Leibniz rule on the pairs ``(g, s)`` with ``s`` a
     generator, which has the same solutions as all pairs (see
     :func:`is_derivation`). The kernel basis comes back in the canonical
     reduced-echelon order, so it does not depend on which rows were added.
+    This is the only solver when the characteristic divides ``|G|``, and
+    the reference the fast path of :func:`derivation_space` is tested
+    against.
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
@@ -300,19 +345,27 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: 
     )
 
 
+def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism, cancel: CancelToken | None = None):
+    """The nonzero flattened ``d_g`` for ``g`` in the group basis; they span the inner derivations."""
+    group, ring = sigma.group, sigma.ring
+    n = group.order
+    for c in range(n):
+        check_cancel(cancel)
+        d = inner_derivation(GroupRingElement.basis(group, ring, c), sigma, tau)
+        row = _flat_nonzeros(d.images, n)
+        if row:
+            yield row
+
+
 def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[DerivationMap]:
     """Canonical basis of the space of inner derivations ``x -> d_x``."""
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
     _require_field(ring)
-    group = sigma.group
-    n = group.order
+    n = sigma.group.order
     system = LinearSystem(n * (n - 1), ring)
-    for c in range(n):
-        d = inner_derivation(GroupRingElement.basis(group, ring, c), sigma, tau)
-        row = _flat_nonzeros(d.images, n)
-        if row:
-            system.add_row(row)
+    for row in _inner_rows(sigma, tau):
+        system.add_row(row)
     return _maps_from_vectors(system.span_basis(), sigma, tau)
 
 
@@ -365,7 +418,12 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
 
 
 def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> int:
-    """dim(derivation space) - dim(inner subspace) over a field."""
+    """dim(derivation space) - dim(inner subspace) over a field.
+
+    It is 0 by the averaging argument whenever the characteristic does not
+    divide ``|G|`` (see :func:`derivation_space`); :func:`leibniz_space`
+    computes it without that argument.
+    """
     return derivation_space(sigma, tau, cancel=cancel).h1_dimension
 
 

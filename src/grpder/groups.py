@@ -380,6 +380,32 @@ def standard_group(name: str) -> FiniteGroup:
     raise UnknownGroupName(f"unknown group name {name!r}")
 
 
+def _product_component(label: str) -> str:
+    """``label`` as one side of a product label ``(a,b)``.
+
+    A label with no backslash, balanced parentheses and no comma outside
+    them stays as it is; any other has each ``\\``, ``(``, ``)`` and ``,``
+    escaped by a backslash. Either way the comma between the two sides is
+    the only unescaped comma at depth one, and an escaped side is told
+    apart by its backslash, so distinct pairs get distinct labels. The
+    labels of the standard groups and their products are of the first kind.
+    """
+    depth = 0
+    for ch in label:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "\\" or (ch == "," and depth == 0):
+            break
+    else:
+        if depth == 0:
+            return label
+    return re.sub(r"([\\(),])", r"\\\1", label)
+
+
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Componentwise product; index of ``(x, y)`` is ``x * |G2| + y``.
 
@@ -405,7 +431,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                     row[row_a2 + b2] = base + rb[b2]
     labels = None
     if g1.labels is not None and g2.labels is not None:
-        labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(n1) for b in range(n2)]
+        left = [_product_component(s) for s in g1.labels]
+        right = [_product_component(s) for s in g2.labels]
+        labels = [f"({x},{y})" for x in left for y in right]
     name = f"{g1.name}x{g2.name}" if g1.name and g2.name else None
     product = FiniteGroup(table, labels=labels, name=name, _validated=True)
     product._generators = g2.generators() + tuple(a * n2 for a in g1.generators())

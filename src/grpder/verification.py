@@ -28,6 +28,7 @@ from .derivations import (
     inner_witness,
     inner_witness_integer,
     is_derivation,
+    leibniz_space,
     twisted_centralizer,
     zc2_congruence_check,
 )
@@ -162,7 +163,9 @@ def criterion_h1_vanishing(seed: int = DEFAULT_SEED, *, cancel: CancelToken | No
         for (sig_name, sigma), (tau_name, tau) in pairs:
             check_cancel(cancel)
             central = is_central_endo(sigma) and is_central_endo(tau)
-            h1 = derivation_space(sigma, tau, cancel=cancel).h1_dimension
+            # The Leibniz solver, not the dispatcher: its fast path sets h1 = 0
+            # by the very theorem this criterion checks.
+            h1 = leibniz_space(sigma, tau, cancel=cancel).h1_dimension
             cases.append(
                 _case(
                     f"1.h1-zero:{name}:{sig_name}|{tau_name}",
@@ -182,8 +185,8 @@ def criterion_h1_vanishing(seed: int = DEFAULT_SEED, *, cancel: CancelToken | No
 def criterion_prime_characteristic(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
     c2 = standard_group("C2")
     s3 = standard_group("S3")
-    h1_c2 = derivation_space(identity_endo(c2, GF(2)), identity_endo(c2, GF(2))).h1_dimension
-    h1_s3 = derivation_space(identity_endo(s3, GF(5)), identity_endo(s3, GF(5))).h1_dimension
+    h1_c2 = leibniz_space(identity_endo(c2, GF(2)), identity_endo(c2, GF(2))).h1_dimension
+    h1_s3 = leibniz_space(identity_endo(s3, GF(5)), identity_endo(s3, GF(5))).h1_dimension
     return [
         _case("2.char-divides:C2", "C2", "F2", "sigma=id tau=id", "h1=2", f"h1={h1_c2}"),
         _case("2.char-coprime:S3", "S3", "F5", "sigma=id tau=id", "h1=0", f"h1={h1_s3}"),

@@ -43,6 +43,12 @@ def _requests():
             "op": "h1", "group": group_to_json(standard_group("C2")),
             "field": "Q", "sigma": "id", "tau": "id",
         },
+        # The characteristic divides the order: the Leibniz solver, not the
+        # separable fast path, serves this one.
+        "h1-char2": {
+            "op": "h1", "group": group_to_json(standard_group("C2")),
+            "field": "F2", "sigma": "id", "tau": "id",
+        },
         "inner-check": {
             "op": "inner-check", "ring": "Z", "group": group_to_json(s3),
             "sigma": "id", "tau": "id", "delta": derivation_to_json(delta),
@@ -61,7 +67,7 @@ def test_tracer_resolves_every_target(perfbench_modules):
     # The derivation read from a request is validated once, by its
     # constructor; the tower map and the h1 bases are derivations by
     # construction.
-    [("h1", 0), ("inner-check", 1), ("counterexample", 0)],
+    [("h1", 0), ("h1-char2", 0), ("inner-check", 1), ("counterexample", 0)],
 )
 def test_server_serves_each_op(perfbench_modules, op, validations):
     server, tracer = perfbench_modules
@@ -70,6 +76,8 @@ def test_server_serves_each_op(perfbench_modules, op, validations):
     answer = json.loads(handle(json.dumps(doc)))
     if op == "h1":
         assert answer["h1"] == 0
+    elif op == "h1-char2":
+        assert answer["h1"] == 2
     elif op == "inner-check":
         assert answer["inner"] is True and answer["agreement"] is True
     else:
@@ -83,4 +91,7 @@ def test_server_serves_each_op(perfbench_modules, op, validations):
         assert json.loads(traced_handle(json.dumps(doc))) == answer
     finally:
         traced.uninstall()
-    assert traced.metrics()["derivations.is_derivation_calls"] == validations
+    metrics = traced.metrics()
+    assert metrics["derivations.is_derivation_calls"] == validations
+    # Only the Leibniz solver spans inner_space; the fast path does not.
+    assert (metrics["derivations.inner_space_s"] > 0) == (op == "h1-char2")

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpder import (
@@ -67,6 +67,25 @@ def test_group_product(capsys, tmp_path):
     assert code == 0
     data = json.loads(out_file.read_text())
     assert data["order"] == 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(*[st.lists(st.text(alphabet="ab,()\\", max_size=3), min_size=2, max_size=2, unique=True)] * 2)
+@example(["a", "a,b"], ["b,c", "c"])
+def test_group_product_of_labelled_groups_is_readable(left, right):
+    # Factor labels with commas or parentheses once produced duplicate
+    # product labels, which "group info" then rejected.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{side}.json" for side in ("left", "right", "product")]
+        for path, labels in zip(paths, (left, right)):
+            path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": labels}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["group", "product", str(paths[0]), str(paths[1]), "-o", str(paths[2])]) == 0
+            assert main(["group", "info", str(paths[2])]) == 0
+        assert err.getvalue() == ""
+        labels = json.loads(paths[2].read_text())["labels"]
+        assert len(set(labels)) == 4
 
 
 def test_h1_s3_rational(capsys, tmp_path):

@@ -35,10 +35,12 @@ from grpder import (
     invert,
     is_central_endo,
     is_derivation,
+    leibniz_space,
     standard_group,
     twisted_centralizer,
     zc2_congruence_check,
 )
+from grpder import derivations
 from grpder.rings import GF, QQ, ZZ
 
 
@@ -486,6 +488,42 @@ def test_cancellation(s3):
     ident = identity_endo(s3, QQ)
     with pytest.raises(Cancelled):
         derivation_space(ident, ident, cancel=token)
+
+
+@pytest.fixture
+def leibniz_calls(monkeypatch):
+    """Rings of the calls derivation_space routes to leibniz_space."""
+    calls = []
+
+    def spy(sigma, tau, *, cancel=None):
+        calls.append(sigma.ring)
+        return leibniz_space(sigma, tau, cancel=cancel)
+
+    monkeypatch.setattr(derivations, "leibniz_space", spy)
+    return calls
+
+
+def test_char_dividing_order_routes_to_leibniz(leibniz_calls, c2, s3):
+    def h1(group, ring):
+        ident = identity_endo(group, ring)
+        return derivation_space(ident, ident).h1_dimension
+
+    assert h1(c2, GF(2)) == 2
+    assert h1(s3, GF(3)) == 1
+    assert h1(s3, GF(2)) == 2
+    assert leibniz_calls == [GF(2), GF(3), GF(2)]
+    assert (h1(s3, QQ), h1(s3, GF(5)), h1(c2, GF(3))) == (0, 0, 0)
+    assert leibniz_calls == [GF(2), GF(3), GF(2)]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)])
+def test_fast_path_honours_cancel(leibniz_calls, s3, ring):
+    token = CancelToken()
+    token.cancel()
+    ident = identity_endo(s3, ring)
+    with pytest.raises(Cancelled):
+        derivation_space(ident, ident, cancel=token)
+    assert leibniz_calls == []
 
 
 # -- derivations by construction ------------------------------------------------

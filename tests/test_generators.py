@@ -3,7 +3,9 @@
 Every check in the library that is determined by a generating set (the
 Leibniz rule, multiplicativity, associativity and the witness equation) is
 compared here with a straightforward all-pairs version that lives only in
-this file, on random inputs that both pass and fail the check.
+this file, on random inputs that both pass and fail the check. The
+separable fast path of ``derivation_space`` is compared with the Leibniz
+solver it bypasses.
 """
 
 import math
@@ -31,12 +33,14 @@ from grpder import (
     inner_witness_integer,
     invert,
     is_derivation,
+    leibniz_space,
     make_from_table,
     standard_group,
     twisted_centralizer,
 )
 from grpder.linalg import ExactMatrix, integer_solve
 from grpder.rings import GF, QQ, ZZ
+from grpder.serialization import derivation_to_json
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 SMALL = ("C2", "C3", "C4", "C2xC2", "S3", "C6", "D4", "Q8")
@@ -408,7 +412,9 @@ def test_leibniz_kernel_matches_all_pairs(name, ring, seed):
     group = GROUPS[name]
     sigma = random_endo(group, ring, rng)
     tau = random_endo(group, ring, rng)
-    basis = [d.as_vector() for d in derivation_space(sigma, tau).basis]
+    # The Leibniz solver by name: over Q and F5 the dispatcher would take
+    # the fast path, which never builds these rows.
+    basis = [d.as_vector() for d in leibniz_space(sigma, tau).basis]
     assert basis == ref_leibniz_kernel(sigma, tau)
 
 
@@ -466,3 +472,77 @@ def test_snf_witness_matches_all_rows(name, inner, seed):
         assert inner_derivation(gap, sigma, tau).is_zero
     if inner or space is None or not space.basis:
         assert witness is not None
+
+
+# -- separable fast path ---------------------------------------------------------
+
+
+def random_group_map(group, rng):
+    """Index map of a random group endomorphism, often not injective.
+
+    Draws generator images, extends them along words and keeps the first
+    draw that is a homomorphism; the trivial map if none of 32 is.
+    """
+    n = group.order
+    gens = group.generators()
+    for _ in range(32):
+        images = {s: rng.randrange(n) for s in gens}
+        f = {0: 0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = group.mul(x, s)
+                if y not in f:
+                    f[y] = group.mul(f[x], images[s])
+                    frontier.append(y)
+        f = [f[x] for x in range(n)]
+        if ref_is_homomorphism(group, f):
+            return f
+    return [0] * n
+
+
+def twist(group, ring, kind, rng):
+    """A sparse or dense conjugation, a random group map, or the trivial map."""
+    n = group.order
+    if kind == "sparse":
+        g = rng.randrange(1, n)
+        return endo_from_group_map(group, ring, [group.conjugate(g, x) for x in range(n)])
+    if kind == "dense":
+        while True:
+            u = random_element(group, ring, rng, -2, 2)
+            if invert(u) is not None:
+                return conjugation_endo(u)
+    if kind == "group-map":
+        return endo_from_group_map(group, ring, random_group_map(group, rng))
+    return endo_from_group_map(group, ring, [0] * n)
+
+
+TWISTS = st.sampled_from(["sparse", "dense", "group-map", "trivial"])
+
+
+def _scalar_types(space):
+    return [type(v) for d in space.basis for img in d.images for v in img.coeffs]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("S3", "D4", "Q8", "A4", "S3xC2")),
+    st.sampled_from([QQ, GF(5), GF(7)]),
+    TWISTS,
+    TWISTS,
+    SEEDS,
+)
+def test_fast_path_matches_leibniz(name, ring, sigma_kind, tau_kind, seed):
+    # No characteristic here divides the order, so derivation_space takes
+    # the fast path, and leibniz_space is the reference.
+    rng = random.Random(seed)
+    group = GROUPS[name]
+    sigma = twist(group, ring, sigma_kind, rng)
+    tau = twist(group, ring, tau_kind, rng)
+    fast = derivation_space(sigma, tau)
+    reference = leibniz_space(sigma, tau)
+    assert fast.h1_dimension == reference.h1_dimension == 0
+    assert [derivation_to_json(d) for d in fast.basis] == [derivation_to_json(d) for d in reference.basis]
+    assert _scalar_types(fast) == _scalar_types(reference)
+    assert fast.inner_basis == reference.inner_basis

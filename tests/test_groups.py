@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpder import (
     NotAGroup,
@@ -149,6 +153,59 @@ def test_direct_product_with_trivial_is_identity_embedding():
     assert left.table == s3.table
     right = direct_product(s3, trivial)
     assert right.table == s3.table
+
+
+def test_standard_product_labels_are_plain_pairs():
+    # Products of standard groups, nested ones included, keep the labels
+    # "(a,b)" they had before factor labels were ever escaped.
+    groups = [standard_group(name) for name in STANDARD_NAMES]
+    groups.append(direct_product(standard_group("Q8"), standard_group("A4")))
+    for g1 in groups:
+        for g2 in (standard_group("C2"), standard_group("A4"), standard_group("Q8")):
+            product = direct_product(g1, g2)
+            assert product.labels == tuple(f"({a},{b})" for a in g1.labels for b in g2.labels)
+    assert standard_group("C2xC2").labels == ("(e,e)", "(e,g)", "(g,e)", "(g,g)")
+
+
+def split_product_label(label):
+    """The factor labels ``(a, b)`` of a product label, or None if it does not
+    split at exactly one unescaped comma outside inner parentheses."""
+    body = label[1:-1] if label[:1] == "(" and label[-1:] == ")" else None
+    if body is None:
+        return None
+    depth, cuts, i = 0, [], 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\":
+            i += 1
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return None
+        elif ch == "," and depth == 0:
+            cuts.append(i)
+        i += 1
+    if depth or len(cuts) != 1:
+        return None
+    return tuple(re.sub(r"\\(.)", r"\1", part) for part in (body[: cuts[0]], body[cuts[0] + 1 :]))
+
+
+_LABELS = st.lists(st.text(alphabet="a,()\\", max_size=4), min_size=3, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_LABELS, _LABELS, _LABELS)
+def test_product_labels_are_distinct(x, y, z):
+    c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    g1, g2, g3 = (make_from_table(c3, labels=labels) for labels in (x, y, z))
+    g12 = direct_product(g1, g2)
+    for left, right in ((g1, g2), (g12, g3), (g3, g12)):
+        product = direct_product(left, right)
+        assert len(set(product.labels)) == product.order
+        pairs = [(a, b) for a in left.labels for b in right.labels]
+        assert [split_product_label(label) for label in product.labels] == pairs
 
 
 def test_q8_squared_center():
