@@ -1,12 +1,19 @@
 """Arithmetic in group rings RG for R in {Z, Q, F_p}.
 
 Elements are dense coefficient vectors indexed by group-element index, with a
-cached support so that products and linear maps iterate only over nonzero
-coefficients. Ring endomorphisms are stored as the images of the group basis,
+cached support: the ascending indices of the nonzero coefficients. The
+representation is dense but the work is sparse. Sums, differences,
+negation and scaling copy the coefficient list whole, products and linear
+maps start from a list of zeros, and all of them then compute only at the
+operands' support positions: k + l coefficients for a sum, k * l products
+for a product, not |G|. They hand the new support to the constructor,
+which then skips its rescan. Ring endomorphisms are stored as the images of the group basis,
 matching how twisted derivations consume them.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .errors import (
     MixedGroups,
@@ -26,23 +33,27 @@ class GroupRingElement:
 
     __slots__ = ("group", "ring", "coeffs", "support")
 
-    def __init__(self, group: FiniteGroup, ring: Ring, coeffs, *, _normalized: bool = False):
+    def __init__(self, group: FiniteGroup, ring: Ring, coeffs, *, _normalized: bool = False, _support=None):
+        """``_support``, the ascending nonzero indices of already normalized
+        ``coeffs``, skips both the coercion and the rescan."""
         if len(coeffs) != group.order:
             raise ValueError("coefficient vector length does not match group order")
-        if _normalized:
+        if _normalized or _support is not None:
             vec = tuple(coeffs)
         else:
             vec = tuple(ring.coerce(v) for v in coeffs)
         self.group = group
         self.ring = ring
         self.coeffs = vec
-        self.support = tuple(i for i, v in enumerate(vec) if v)
+        if _support is None:
+            _support = tuple(compress(range(len(vec)), vec))
+        self.support = _support
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, group: FiniteGroup, ring: Ring) -> "GroupRingElement":
-        return cls(group, ring, [ring.zero] * group.order, _normalized=True)
+        return cls(group, ring, [ring.zero] * group.order, _support=())
 
     @classmethod
     def one(cls, group: FiniteGroup, ring: Ring) -> "GroupRingElement":
@@ -50,9 +61,11 @@ class GroupRingElement:
 
     @classmethod
     def basis(cls, group: FiniteGroup, ring: Ring, index: int) -> "GroupRingElement":
+        if not 0 <= index < group.order:
+            raise IndexError(f"basis index {index} out of range")
         vec = [ring.zero] * group.order
         vec[index] = ring.one
-        return cls(group, ring, vec, _normalized=True)
+        return cls(group, ring, vec, _support=(index,))
 
     @classmethod
     def from_dict(cls, group: FiniteGroup, ring: Ring, entries: dict[int, Scalar]) -> "GroupRingElement":
@@ -98,54 +111,70 @@ class GroupRingElement:
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check_compatible(other)
         p = self.ring.characteristic
-        vec = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, self.ring, vec, _normalized=True)
+        vec = list(self.coeffs)
+        ocoeffs = other.coeffs
+        for j in other.support:
+            v = vec[j] + ocoeffs[j]
+            vec[j] = v % p if p else v
+        return _with_support(self.group, self.ring, vec, {*self.support, *other.support})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check_compatible(other)
         p = self.ring.characteristic
-        vec = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, self.ring, vec, _normalized=True)
+        vec = list(self.coeffs)
+        ocoeffs = other.coeffs
+        for j in other.support:
+            v = vec[j] - ocoeffs[j]
+            vec[j] = v % p if p else v
+        return _with_support(self.group, self.ring, vec, {*self.support, *other.support})
 
     def __neg__(self) -> "GroupRingElement":
         p = self.ring.characteristic
-        vec = [-v for v in self.coeffs]
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, self.ring, vec, _normalized=True)
+        vec = list(self.coeffs)
+        for i in self.support:
+            vec[i] = -vec[i] % p if p else -vec[i]
+        return GroupRingElement(self.group, self.ring, vec, _support=self.support)
 
     def scale(self, factor: Scalar) -> "GroupRingElement":
         factor = self.ring.coerce(factor)
         p = self.ring.characteristic
-        vec = [factor * v for v in self.coeffs]
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, self.ring, vec, _normalized=True)
+        vec = list(self.coeffs)
+        for i in self.support:
+            v = factor * vec[i]
+            vec[i] = v % p if p else v
+        return _with_support(self.group, self.ring, vec, self.support)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check_compatible(other)
         table = self.group.table
         zero = self.ring.zero
-        vec = [zero] * self.group.order
-        ocoeffs = other.coeffs
+        sums: dict[int, Scalar] = {}
+        coeffs, ocoeffs, osupport = self.coeffs, other.coeffs, other.support
         for i in self.support:
-            ai = self.coeffs[i]
+            ai = coeffs[i]
             row = table[i]
-            for j in other.support:
+            for j in osupport:
                 k = row[j]
-                vec[k] = vec[k] + ai * ocoeffs[j]
-        p = self.ring.characteristic
-        if p:
-            vec = [v % p for v in vec]
-        return GroupRingElement(self.group, self.ring, vec, _normalized=True)
+                sums[k] = sums.get(k, zero) + ai * ocoeffs[j]
+        return _from_sums(self.group, self.ring, sums)
 
     def to_ring(self, ring: Ring) -> "GroupRingElement":
         """Reinterpret the same coefficients in another ring (e.g. Z -> Q)."""
         return GroupRingElement(self.group, ring, [ring.coerce(v) for v in self.coeffs], _normalized=True)
+
+
+def _with_support(group: FiniteGroup, ring: Ring, vec, touched) -> GroupRingElement:
+    """Wrap normalized ``vec``, whose nonzero entries all lie at indices in ``touched``."""
+    return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, touched))))
+
+
+def _from_sums(group: FiniteGroup, ring: Ring, sums: dict[int, Scalar]) -> GroupRingElement:
+    """The element with coefficient ``sums[k]`` (reduced mod p) at each key ``k``, 0 elsewhere."""
+    p = ring.characteristic
+    vec = [ring.zero] * group.order
+    for k, v in sums.items():
+        vec[k] = v % p if p else v
+    return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, sums))))
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -197,17 +226,15 @@ def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingE
         raise MixedGroups("element belongs to a different group")
     if element.ring != ring:
         raise MixedRings(f"element ring {element.ring} != {ring}")
-    vec = [ring.zero] * group.order
+    zero = ring.zero
+    sums: dict[int, Scalar] = {}
     for i in element.support:
         ai = element.coeffs[i]
         img = images[i]
         coeffs = img.coeffs
         for k in img.support:
-            vec[k] = vec[k] + ai * coeffs[k]
-    p = ring.characteristic
-    if p:
-        vec = [v % p for v in vec]
-    return GroupRingElement(group, ring, vec, _normalized=True)
+            sums[k] = sums.get(k, zero) + ai * coeffs[k]
+    return _from_sums(group, ring, sums)
 
 
 class RingEndomorphism:

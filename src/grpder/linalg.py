@@ -158,7 +158,7 @@ class LinearSystem:
                 if isinstance(v, Fraction):
                     den = den * v.denominator // math.gcd(den, v.denominator)
             for c, v in items:
-                iv = int(v * den) if isinstance(v, Fraction) else v * den
+                iv = v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
                 if iv:
                     row[c] = iv
             if row:

@@ -153,6 +153,8 @@ def GF(p: int) -> PrimeField:
 
 def ring_from_token(token: str, p: int | None = None) -> Ring:
     """Resolve a ring descriptor from its serialized token ("Z", "Q", "Fp", "F5")."""
+    if not isinstance(token, str):
+        raise ValueError(f"ring token must be a string, got {token!r}")
     if token == "Z":
         return ZZ
     if token == "Q":
@@ -160,6 +162,9 @@ def ring_from_token(token: str, p: int | None = None) -> Ring:
     if token == "Fp":
         if p is None:
             raise ValueError("ring token 'Fp' requires a modulus")
+        # A float such as 5.0 passes the primality test and would give float coefficients.
+        if type(p) is not int:
+            raise ValueError(f"modulus must be an integer, got {p!r}")
         return GF(p)
     if token.startswith("F") and token[1:].isdigit():
         return GF(int(token[1:]))

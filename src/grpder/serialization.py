@@ -59,6 +59,8 @@ def element_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None
     if expected_ring is not None and ring != expected_ring:
         raise ValueError(f"element ring {ring} does not match expected {expected_ring}")
     coeffs = data["coeffs"]
+    if not isinstance(coeffs, list):
+        raise ValueError("coefficients must be a list")
     if len(coeffs) != group.order:
         raise ValueError("coefficient count does not match group order")
     return GroupRingElement(group, ring, [parse_scalar(ring, v) for v in coeffs])
@@ -80,5 +82,8 @@ def derivation_to_json(delta: DerivationMap) -> dict:
 
 
 def derivation_images_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None = None) -> list[GroupRingElement]:
-    """Parse candidate derivation images; Leibniz validation happens separately."""
-    return [element_from_json(group, item, expected_ring) for item in data["images"]]
+    """Parse candidate derivation images, one per basis element; Leibniz validation happens separately."""
+    images = [element_from_json(group, item, expected_ring) for item in data["images"]]
+    if len(images) != group.order:
+        raise ValueError(f"need one image per group basis element, got {len(images)} for order {group.order}")
+    return images

@@ -15,7 +15,7 @@ from grpder import (
     standard_group,
 )
 from grpder.cli import main
-from grpder.rings import QQ, ZZ
+from grpder.rings import GF, QQ, ZZ
 from grpder.serialization import (
     derivation_to_json,
     dumps_canonical,
@@ -416,6 +416,132 @@ def test_group_info_on_arbitrary_json_exits_zero_or_two(doc):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", ["inner-check", "gcd-criterion"])
+@pytest.mark.parametrize("images", [[], [{"ring": "Z", "coeffs": [0] * 6}] * 5], ids=["none", "five"])
+def test_delta_with_wrong_image_count_exits_two(capsys, tmp_path, command, images):
+    path = write_group(tmp_path, "S3")
+    delta_path = tmp_path / "delta.json"
+    delta_path.write_text(json.dumps({"images": images}))
+    ring = ["--ring", "Z"] if command == "inner-check" else []
+    code, out, err = run(capsys, command, "--group", path, "--delta", str(delta_path), *ring)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid derivation file") and "one image per group basis element" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [{"ring": ["F5"], "coeffs": [1, 0]}, {"ring": ["F5"], "coeffs": [0, 1]}],
+        [{"ring": None, "coeffs": [1, 0]}, {"ring": None, "coeffs": [0, 1]}],
+        [{"ring": "Fp", "p": 5.0, "coeffs": [1, 0]}, {"ring": "Fp", "p": 5.0, "coeffs": [0, 1]}],
+        [{"ring": "Fp", "p": 5, "coeffs": "10"}, {"ring": "Fp", "p": 5, "coeffs": "01"}],
+    ],
+    ids=["list-token", "null-token", "float-modulus", "string-coeffs"],
+)
+def test_malformed_element_exits_two(capsys, tmp_path, images):
+    path = write_group(tmp_path, "C2")
+    sigma_path = tmp_path / "sigma.json"
+    sigma_path.write_text(json.dumps({"images": images}))
+    code, out, err = run(capsys, "h1", "--group", path, "--sigma", str(sigma_path), "--field", "F5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid endomorphism file")
+    assert len(err.strip().splitlines()) == 1
+
+
+_RING_TOKENS = st.sampled_from(["Z", "Q", "Fp", "F2", "F3", "F4", "F", "R"]) | _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=2)
+_COEFFS = st.integers(-2, 2) | st.sampled_from(["1/2", "-3", "1/0", "x", "2/4"]) | _JSON_SCALARS
+# Element documents close to valid ones, so that most examples reach the
+# endomorphism and Leibniz checks rather than stopping at the first key.
+_ELEMENT = st.fixed_dictionaries(
+    {"ring": _RING_TOKENS, "coeffs": st.lists(st.integers(0, 1) | _COEFFS, min_size=1, max_size=7) | _JSON},
+    optional={"p": st.integers(-1, 7) | _JSON_SCALARS},
+) | _JSON
+_MAP_DOC = st.fixed_dictionaries({"images": st.lists(_ELEMENT, max_size=7) | _JSON}) | _JSON
+
+
+def _valid_map_doc(group_name, kind, ring):
+    group = standard_group(group_name)
+    token = ring.token
+    n = group.order
+    if kind == "endo":
+        # Conjugation by the last basis element, a valid non-identity endomorphism.
+        g = n - 1
+        images = [GroupRingElement.basis(group, ring, group.table[group.table[group.inverse(g)][i]][g]) for i in range(n)]
+    else:
+        ident = identity_endo(group, ring)
+        images = inner_derivation(GroupRingElement.basis(group, ring, n - 1), ident, ident).images
+    ring_fields = {"ring": "Fp", "p": ring.characteristic} if token.startswith("F") else {"ring": token}
+    return {"images": [{**ring_fields, "coeffs": [ring.scalar_to_json(v) for v in img.coeffs]} for img in images]}
+
+
+@st.composite
+def _map_docs(draw, group_name, kind, ring):
+    """Arbitrary documents, or a valid map document with one image or coefficient replaced."""
+    if draw(st.integers(0, 3)) == 3:
+        return draw(_MAP_DOC)
+    doc = _valid_map_doc(group_name, kind, ring)
+    images = doc["images"]
+    i = draw(st.integers(0, len(images) - 1))
+    change = draw(st.sampled_from(["integer", "coefficient", "image"]))
+    if change == "image":
+        images[i] = draw(_ELEMENT)
+    else:
+        coeffs = images[i]["coeffs"]
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(_COEFFS if change == "coefficient" else st.integers(-2, 2))
+    return doc
+
+
+_FUZZ_COMMANDS = {
+    # name: (argv tail, file option, ring of the valid template)
+    "h1-sigma-Q": (["h1", "--field", "Q"], "--sigma", QQ),
+    "h1-tau-F3": (["h1", "--field", "F3"], "--tau", GF(3)),
+    "inner-check-Z": (["inner-check", "--ring", "Z"], "--delta", ZZ),
+    "inner-check-Q": (["inner-check", "--ring", "Q"], "--delta", QQ),
+    "inner-check-sigma-F2": (["inner-check", "--ring", "F2", "--delta", "ZERO"], "--sigma", GF(2)),
+    "gcd-criterion": (["gcd-criterion"], "--delta", ZZ),
+}
+
+
+@st.composite
+def _fuzz_cases(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    group_name = draw(st.sampled_from(["C2", "S3"]))
+    _, option, ring = _FUZZ_COMMANDS[command]
+    kind = "delta" if option == "--delta" else "endo"
+    return command, group_name, draw(_map_docs(group_name, kind, ring))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fuzz_cases())
+@example(("inner-check-Z", "S3", {"images": []}))
+@example(("gcd-criterion", "S3", {"images": []}))
+@example(("h1-sigma-Q", "S3", {"images": [{"ring": ["Q"], "coeffs": [1, 0, 0, 0, 0, 0]}]}))
+def test_map_files_on_arbitrary_json_exit_with_one_line(case):
+    command, group_name, doc = case
+    argv, option, _ = _FUZZ_COMMANDS[command]
+    group = standard_group(group_name)
+    with tempfile.TemporaryDirectory() as tmp:
+        group_path = Path(tmp) / "group.json"
+        group_path.write_text(dumps_canonical(group_to_json(group)))
+        doc_path = Path(tmp) / "map.json"
+        doc_path.write_text(json.dumps(doc))
+        zero_path = Path(tmp) / "zero.json"
+        zero_path.write_text(json.dumps({"images": [{"ring": "Fp", "p": 2, "coeffs": [0] * group.order}] * group.order}))
+        argv = [str(zero_path) if a == "ZERO" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--group", str(group_path), option, str(doc_path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error: ", "check failed: "))
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert err.getvalue() == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpder import (
     GroupRingElement,
@@ -24,6 +26,7 @@ from grpder import (
     multiply,
     standard_group,
 )
+from grpder.group_ring import linear_extension
 from grpder.rings import GF, QQ, ZZ
 
 
@@ -278,3 +281,125 @@ def test_to_ring_rechecks_only_when_leaving_a_prime_field(c2):
     assert neg_z.to_ring(QQ).images[1] == GroupRingElement(c2, QQ, [0, -1])
     with pytest.raises(NotMultiplicative):
         neg_f3.to_ring(QQ)
+
+
+# -- sparse kernel against a dense reference ------------------------------
+#
+# The arithmetic computes only at support positions and hands the support to
+# the constructor. The references below compute every position, as a dense
+# vector, and rescan for the support.
+
+_KERNEL_GROUPS = [standard_group(name) for name in ("S3", "Q8", "C2xC2")]
+_KERNEL_RINGS = [ZZ, QQ, GF(2), GF(3), GF(7)]
+
+
+def _dense(ring, vec):
+    p = ring.characteristic
+    return [v % p for v in vec] if p else list(vec)
+
+
+def _dense_add(a, b):
+    return _dense(a.ring, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def _dense_sub(a, b):
+    return _dense(a.ring, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def _dense_neg(a):
+    return _dense(a.ring, [-x for x in a.coeffs])
+
+
+def _dense_scale(a, factor):
+    factor = a.ring.coerce(factor)
+    return _dense(a.ring, [factor * x for x in a.coeffs])
+
+
+def _dense_mul(a, b):
+    n, table = a.group.order, a.group.table
+    vec = [a.ring.zero] * n
+    for i in range(n):
+        for j in range(n):
+            vec[table[i][j]] += a.coeffs[i] * b.coeffs[j]
+    return _dense(a.ring, vec)
+
+
+def _dense_linear_extension(images, a):
+    n = a.group.order
+    vec = [a.ring.zero] * n
+    for i in range(n):
+        for k in range(n):
+            vec[k] += a.coeffs[i] * images[i].coeffs[k]
+    return _dense(a.ring, vec)
+
+
+def _assert_matches(result, expected):
+    assert list(result.coeffs) == expected
+    scalar = Fraction if result.ring == QQ else int
+    assert all(type(v) is scalar for v in result.coeffs)
+    assert result.support == tuple(i for i, v in enumerate(expected) if v)
+
+
+def _scalars(ring):
+    if ring == QQ:
+        return st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=6)
+    return st.integers(-9, 9)
+
+
+@st.composite
+def _elements(draw, group, ring):
+    """Sparse or dense elements, some of them results of arithmetic."""
+    entries = draw(st.dictionaries(st.integers(0, group.order - 1), _scalars(ring), max_size=group.order))
+    element = GroupRingElement.from_dict(group, ring, entries)
+    if draw(st.booleans()):
+        other = GroupRingElement.from_dict(group, ring, draw(st.dictionaries(st.integers(0, group.order - 1), _scalars(ring), max_size=3)))
+        element = element + other - other
+    return element
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_arithmetic_matches_dense_reference(data):
+    group = data.draw(st.sampled_from(_KERNEL_GROUPS), label="group")
+    ring = data.draw(st.sampled_from(_KERNEL_RINGS), label="ring")
+    a = data.draw(_elements(group, ring), label="a")
+    b = data.draw(_elements(group, ring), label="b")
+    factor = data.draw(_scalars(ring), label="factor")
+    _assert_matches(a + b, _dense_add(a, b))
+    _assert_matches(a - b, _dense_sub(a, b))
+    _assert_matches(-a, _dense_neg(a))
+    _assert_matches(a.scale(factor), _dense_scale(a, factor))
+    _assert_matches(a.scale(0), _dense_scale(a, 0))
+    _assert_matches(a * b, _dense_mul(a, b))
+    _assert_matches(a - a, [ring.zero] * group.order)
+    images = [data.draw(_elements(group, ring), label=f"image {i}") for i in range(group.order)]
+    _assert_matches(linear_extension(group, ring, images, a), _dense_linear_extension(images, a))
+
+
+@pytest.mark.parametrize("group", _KERNEL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_sparse_arithmetic_cancels_in_prime_fields(group, p):
+    ring = GF(p)
+    x = GroupRingElement(group, ring, [(3 * i + 1) % p for i in range(group.order)])
+    total = GroupRingElement.zero(group, ring)
+    for _ in range(p):
+        expected = _dense_add(total, x)
+        total = total + x
+        _assert_matches(total, expected)
+    _assert_matches(total, [0] * group.order)
+    _assert_matches(x.scale(p), [0] * group.order)
+    _assert_matches(x - x, [0] * group.order)
+    _assert_matches(x + (-x), [0] * group.order)
+
+
+@pytest.mark.parametrize("group", _KERNEL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("ring", _KERNEL_RINGS, ids=repr)
+def test_basis_and_zero_match_dense_reference(group, ring):
+    n = group.order
+    _assert_matches(GroupRingElement.zero(group, ring), _dense(ring, [ring.zero] * n))
+    for i in range(n):
+        expected = _dense(ring, [ring.one if k == i else ring.zero for k in range(n)])
+        _assert_matches(GroupRingElement.basis(group, ring, i), expected)
+    for index in (-1, n):
+        with pytest.raises(IndexError):
+            GroupRingElement.basis(group, ring, index)

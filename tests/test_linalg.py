@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -211,3 +212,27 @@ def test_particular_solution_requires_augmented():
     with pytest.raises(ValueError):
         augmented.kernel_basis()
     assert augmented.particular_solution() == [Fraction(1, 2), 0]
+
+
+def _prepare_reference(coeffs, rhs, aug):
+    """Denominators cleared through ``int(v * den)``, then the content divided out."""
+    items = list(coeffs.items()) + ([(aug, rhs)] if aug is not None else [])
+    den = math.lcm(*(v.denominator for _, v in items if isinstance(v, Fraction)))
+    row = {}
+    for c, v in items:
+        iv = int(v * den) if isinstance(v, Fraction) else v * den
+        if iv:
+            row[c] = iv
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} or None
+
+
+_Q_ENTRIES = st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=60) | st.fractions(max_denominator=10**12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 11), _Q_ENTRIES, max_size=12), _Q_ENTRIES, st.booleans())
+def test_prepare_over_q_matches_reference(coeffs, rhs, augmented):
+    system = LinearSystem(12, QQ, augmented=augmented)
+    aug = 12 if augmented else None
+    assert system._prepare(coeffs, rhs) == _prepare_reference(coeffs, rhs, aug)

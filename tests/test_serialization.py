@@ -10,7 +10,7 @@ from grpder import (
     inner_derivation,
     standard_group,
 )
-from grpder.rings import GF, QQ, ZZ
+from grpder.rings import GF, QQ, ZZ, ring_from_token
 from grpder.serialization import (
     derivation_images_from_json,
     derivation_to_json,
@@ -72,6 +72,31 @@ def test_element_json_errors():
         element_from_json(c2, {"ring": "Q", "coeffs": [1, 2]}, expected_ring=ZZ)
     with pytest.raises(ValueError):
         element_from_json(c2, {"ring": "Fp", "coeffs": [1, 2]})
+    with pytest.raises(ValueError, match="must be a list"):
+        element_from_json(c2, {"ring": "Q", "coeffs": "12"})
+
+
+@pytest.mark.parametrize("token", [["Q"], None, 5, {"F": 5}, b"Q"])
+def test_ring_from_token_rejects_non_strings(token):
+    with pytest.raises(ValueError, match="must be a string"):
+        ring_from_token(token)
+
+
+@pytest.mark.parametrize("p", [5.0, True, "5"])
+def test_ring_from_token_rejects_non_integer_modulus(p):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ring_from_token("Fp", p)
+    assert ring_from_token("Fp", 5) is GF(5)
+
+
+def test_derivation_images_need_one_per_basis_element():
+    s3 = standard_group("S3")
+    with pytest.raises(ValueError, match="one image per group basis element"):
+        derivation_images_from_json(s3, {"images": []})
+    zero = {"ring": "Z", "coeffs": [0] * 6}
+    with pytest.raises(ValueError, match="one image per group basis element"):
+        derivation_images_from_json(s3, {"images": [zero] * 7})
+    assert len(derivation_images_from_json(s3, {"images": [zero] * 6})) == 6
 
 
 def test_endomorphism_round_trip_validates():
