@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .derivations import (
 from .errors import AlgebraError, NotADerivation
 from .group_ring import identity_endo, is_central_endo
 from .groups import center, conjugacy_classes, direct_product, standard_group
-from .rings import QQ, ZZ, GF, Ring
+from .rings import ZZ, Ring, ring_from_token
 from .serialization import (
     derivation_images_from_json,
     dumps_canonical,
@@ -71,17 +70,10 @@ def _load_group(path: str):
 
 
 def _parse_ring(token: str) -> Ring:
-    if token == "Z":
-        return ZZ
-    if token == "Q":
-        return QQ
-    m = re.fullmatch(r"F(\d+)", token)
-    if m:
-        try:
-            return GF(int(m.group(1)))
-        except ValueError as exc:
-            raise UsageFailure(str(exc)) from exc
-    raise UsageFailure(f"unknown ring {token!r}; use Z, Q or F<prime>")
+    try:
+        return ring_from_token(token)
+    except ValueError as exc:
+        raise UsageFailure(f"{exc}; use Z, Q or F<prime>") from exc
 
 
 def _load_endo(spec: str, group, ring):

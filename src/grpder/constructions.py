@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .derivations import (
     DerivationMap,
     _check_same_pair,
-    _witness_rows,
+    _field_witness,
     inner_derivation,
     is_derivation,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 )
@@ -40,7 +40,6 @@ from .group_ring import (
     invert,
 )
 from .groups import FiniteGroup, center, conjugacy_classes, direct_product
-from .linalg import LinearSystem
 from .rings import QQ, Ring
 from .util import DEFAULT_SEED, CancelToken, check_cancel
 
@@ -135,13 +134,6 @@ class TruncationBundle:
     delta: DerivationMap
     witnesses: tuple[GroupRingElement, ...]
     witness_indices: tuple[int, ...]
-
-    @property
-    def witness_sum(self) -> GroupRingElement:
-        total = self.witnesses[0]
-        for w in self.witnesses[1:]:
-            total = total + w
-        return total
 
     def embedded_indices(self, sublevel: int) -> tuple[int, ...]:
         """Indices of the embedded ``H^sublevel`` (remaining factors identity)."""
@@ -256,19 +248,4 @@ def inner_witness_with_support(
         raise NotAField(f"support-constrained witness requires a field, got {ring}")
     _check_same_pair(delta, sigma, tau)
     allowed = sorted(set(int(i) for i in support))
-    position = {h: pos for pos, h in enumerate(allowed)}
-    group = sigma.group
-    system = LinearSystem(len(allowed), ring, augmented=True)
-    for i, k, row in _witness_rows(sigma, tau):
-        check_cancel(cancel)
-        restricted = {position[h]: v for h, v in row.items() if h in position}
-        system.add_row(restricted, delta.images[i].coeffs[k])
-        if not system.consistent:
-            return None
-    solution = system.particular_solution()
-    if solution is None:
-        return None
-    vec = [ring.zero] * group.order
-    for pos, h in enumerate(allowed):
-        vec[h] = solution[pos]
-    return GroupRingElement(group, ring, vec, _normalized=True)
+    return _field_witness(delta, sigma, tau, allowed, cancel)

@@ -66,13 +66,6 @@ class DerivationMap:
         """Evaluate the linear extension on an arbitrary element."""
         return linear_extension(self.group, self.ring, self.images, element)
 
-    def as_vector(self) -> list[Scalar]:
-        """Flatten images of non-identity basis elements into one vector."""
-        out = []
-        for img in self.images[1:]:
-            out.extend(img.coeffs)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return all(img.is_zero for img in self.images)
@@ -226,16 +219,6 @@ def _require_field(ring: Ring) -> None:
         raise NotAField(f"operation requires field coefficients, got {ring}")
 
 
-def _flat_nonzeros(images, n: int) -> dict[int, Scalar]:
-    out: dict[int, Scalar] = {}
-    for i in range(1, n):
-        img = images[i]
-        base = (i - 1) * n
-        for k in img.support:
-            out[base + k] = img.coeffs[k]
-    return out
-
-
 def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
     group, ring = sigma.group, sigma.ring
     n = group.order
@@ -346,13 +329,23 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: Can
 
 
 def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism, cancel: CancelToken | None = None):
-    """The nonzero flattened ``d_g`` for ``g`` in the group basis; they span the inner derivations."""
-    group, ring = sigma.group, sigma.ring
-    n = group.order
-    for c in range(n):
+    """The nonzero flattened ``d_h`` for ``h`` in the group basis; they span the inner derivations.
+
+    Row ``h`` holds ``d_h(g_i)_k`` at column ``(i - 1) n + k`` for ``g_i != 1``:
+    the transpose of :func:`_witness_rows` over every non-identity element.
+    """
+    p = sigma.ring.characteristic
+    n = sigma.group.order
+    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for i, k, row in _witness_rows(sigma, tau, range(1, n)):
         check_cancel(cancel)
-        d = inner_derivation(GroupRingElement.basis(group, ring, c), sigma, tau)
-        row = _flat_nonzeros(d.images, n)
+        col = (i - 1) * n + k
+        for h, v in row.items():
+            if p:
+                v %= p
+            if v:
+                rows[h][col] = v
+    for row in rows:
         if row:
             yield row
 
@@ -369,20 +362,24 @@ def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[Derivati
     return _maps_from_vectors(system.span_basis(), sigma, tau)
 
 
-def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
+def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None):
     """Rows of the witness system ``alpha tau(s) - sigma(s) alpha = d(s)``, ``s`` a generator.
 
     Yields ``(i, k, row)`` where ``row`` maps the coordinate of ``alpha_h``
-    to ``tau(g_i)_{h^-1 x} - sigma(g_i)_{x h^-1}`` at ``x = g_k``. For a
-    derivation ``d`` this has the same solutions as the system over every
-    ``g``: ``d - d_alpha`` is a derivation, and one vanishing on the
-    generators vanishes everywhere by the Leibniz rule.
+    to ``tau(g_i)_{h^-1 x} - sigma(g_i)_{x h^-1}`` at ``x = g_k``, that is
+    ``(g_h tau(g_i) - sigma(g_i) g_h)_k``, read off the images by index
+    without multiplying. Entries are not reduced mod p and may be zero.
+    For a derivation ``d`` the generator rows have the same solutions as
+    the system over every ``g``: ``d - d_alpha`` is a derivation, and one
+    vanishing on the generators vanishes everywhere by the Leibniz rule.
+    ``elements`` replaces the generators by other indices ``i``. This is the
+    only code that computes entries of the matrix of ``x -> d_x``.
     """
     group = sigma.group
     n = group.order
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
-    for i in group.generators():
+    for i in group.generators() if elements is None else elements:
         ti = tau.images[i]
         si = sigma.images[i]
         for k in range(n):
@@ -433,45 +430,63 @@ def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     The returned representative is canonical: free coordinates of the witness
     system are set to zero under the reduced-echelon pivot order.
     """
-    ring = sigma.ring
-    _require_field(ring)
+    _require_field(sigma.ring)
     _check_same_pair(delta, sigma, tau)
-    group = sigma.group
-    system = LinearSystem(group.order, ring, augmented=True)
+    return _field_witness(delta, sigma, tau, None, cancel)
+
+
+def _field_witness(
+    delta: DerivationMap,
+    sigma: RingEndomorphism,
+    tau: RingEndomorphism,
+    allowed: list[int] | None,
+    cancel: CancelToken | None,
+) -> GroupRingElement | None:
+    """Solve the witness system over a field, ``alpha`` zero outside ``allowed``.
+
+    ``allowed`` is an ascending list of indices, or None for every index;
+    then the rows go to the solver as they are, without remapping.
+    """
+    group, ring = sigma.group, sigma.ring
+    if allowed is not None:
+        position = {h: pos for pos, h in enumerate(allowed)}
+    system = LinearSystem(group.order if allowed is None else len(allowed), ring, augmented=True)
     for i, k, row in _witness_rows(sigma, tau):
         check_cancel(cancel)
+        if allowed is not None:
+            row = {position[h]: v for h, v in row.items() if h in position}
         system.add_row(row, delta.images[i].coeffs[k])
         if not system.consistent:
             return None
     solution = system.particular_solution()
     if solution is None:
         return None
+    if allowed is not None:
+        vec = [ring.zero] * group.order
+        for pos, h in enumerate(allowed):
+            vec[h] = solution[pos]
+        solution = vec
     return GroupRingElement(group, ring, solution, _normalized=True)
 
 
 def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> GroupRingElement | None:
     """Integer witness for innerness over Z, decided by Smith normal form.
 
-    Builds the stacked system column-by-column from actual group-ring
-    products (a code path independent of :func:`gcd_criterion`), with one
-    block of rows per generator as in :func:`_witness_rows`.
+    The matrix is the generator rows of :func:`_witness_rows`, made dense:
+    one block of ``|G|`` rows per generator, one column per ``alpha_h``.
+    :func:`gcd_criterion` reads every row in its own loop, so the two stay
+    independent oracles.
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"integer witness requires Z coefficients, got {sigma.ring}")
     _check_same_pair(delta, sigma, tau)
     group = sigma.group
     n = group.order
-    gens = group.generators()
-    columns = []
-    for h in range(n):
-        basis_h = GroupRingElement.basis(group, ZZ, h)
-        columns.append([basis_h * tau.images[i] - sigma.images[i] * basis_h for i in gens])
     rows = []
     rhs = []
-    for pos, i in enumerate(gens):
-        for k in range(n):
-            rows.append([columns[h][pos].coeffs[k] for h in range(n)])
-            rhs.append(delta.images[i].coeffs[k])
+    for i, k, row in _witness_rows(sigma, tau):
+        rows.append([row.get(h, 0) for h in range(n)])
+        rhs.append(delta.images[i].coeffs[k])
     solution = integer_solve(ExactMatrix(ZZ, rows), rhs, cancel=cancel)
     if solution is None:
         return None

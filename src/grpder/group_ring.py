@@ -177,11 +177,6 @@ def _from_sums(group: FiniteGroup, ring: Ring, sums: dict[int, Scalar]) -> Group
     return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, sums))))
 
 
-def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product via the Cayley table."""
-    return a * b
-
-
 def augmentation(a: GroupRingElement) -> Scalar:
     """Coefficient sum; the ring homomorphism sending every group element to 1."""
     total = a.ring.zero
@@ -408,12 +403,3 @@ def commutator_span_system(group: FiniteGroup, ring: Ring) -> LinearSystem:
             if a != b:
                 system.add_row({a: one, b: -one})
     return system
-
-
-def commutator_subspace(group: FiniteGroup, ring: Ring) -> list[GroupRingElement]:
-    """Canonical basis of span{ab - ba}; dimension ``|G| - #classes``."""
-    system = commutator_span_system(group, ring)
-    return [
-        GroupRingElement(group, ring, vec, _normalized=True)
-        for vec in system.span_basis()
-    ]

@@ -167,13 +167,6 @@ class FiniteGroup:
         """g^{-1} x g."""
         return self.table[self.table[self.inverse(g)][x]][g]
 
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != 0:
-            acc = self.table[acc][i]
-            k += 1
-        return k
-
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:

@@ -83,11 +83,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols})"
 
 
-def gcd_list(values) -> int:
-    """gcd of absolute values; empty or all-zero input gives 0."""
-    return math.gcd(*(abs(int(v)) for v in values))
-
-
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*(abs(v) for v in row.values()))
     if g > 1:
@@ -122,10 +117,6 @@ class LinearSystem:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    @property
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._pivots)
 
     def add_row(self, coeffs: dict[int, Scalar], rhs: Scalar = 0) -> None:
         row = self._prepare(coeffs, rhs)

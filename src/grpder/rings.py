@@ -8,12 +8,19 @@ that hot loops can use native ``+``/``*`` and only normalize where needed.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MixedRings
 
 Scalar = int | Fraction
+
+# Moduli are bounded so that trial division in _is_prime stays under about
+# 23k steps; a modulus from a JSON file or the command line cannot stall.
+MAX_MODULUS = 2**31
+
+_SCALAR_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -113,6 +120,8 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int) -> None:
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus must be below 2^31, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
@@ -172,11 +181,15 @@ def ring_from_token(token: str, p: int | None = None) -> Ring:
 
 
 def parse_scalar(ring: Ring, raw) -> Scalar:
-    """Parse a JSON scalar: an int or a reduced "num/den" string.
+    """Parse a JSON scalar: an int or a "num/den" string of decimal digits.
 
-    Raises ValueError on anything else, a zero denominator included.
+    Raises ValueError on anything else, a zero denominator included. Strings
+    such as "1e999999999", "1.5", " 3 " or "1_000", which ``Fraction``
+    would accept, are rejected: an exponent would be expanded in full.
     """
     if isinstance(raw, str):
+        if not _SCALAR_STRING.fullmatch(raw):
+            raise ValueError(f"scalar string must be an integer or num/den, got {raw!r}")
         try:
             value = Fraction(raw)
         except ZeroDivisionError as exc:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -123,10 +124,35 @@ def test_h1_expectation_mismatch_exits_one(capsys, tmp_path):
 
 def test_h1_bad_field_exits_two(capsys, tmp_path):
     path = write_group(tmp_path, "S3")
-    code, _, _ = run(capsys, "h1", "--group", path, "--field", "F4")
+    for token in ("F4", "R", "Fp", "F", "", "F5x", "Z"):
+        code, out, err = run(capsys, "h1", "--group", path, "--field", token)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "inner-check", "--group", path, "--delta", "unused.json", "--ring", "Fp")
+    assert code == 2 and "requires a modulus" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("route", ["field", "element"])
+def test_large_modulus_exits_two_quickly(capsys, tmp_path, route):
+    # A prime: trial division up to its square root used to take about 0.7 s,
+    # and a 20-digit prime minutes.
+    p = 10**14 + 31
+    path = write_group(tmp_path, "C2")
+    if route == "field":
+        argv = ["h1", "--group", path, "--field", f"F{p}"]
+    else:
+        sigma_path = tmp_path / "sigma.json"
+        images = [{"ring": "Fp", "p": p, "coeffs": [1, 0]}, {"ring": "Fp", "p": p, "coeffs": [0, 1]}]
+        sigma_path.write_text(json.dumps({"images": images}))
+        argv = ["h1", "--group", path, "--sigma", str(sigma_path), "--field", "F5"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
-    code, _, _ = run(capsys, "h1", "--group", path, "--field", "R")
-    assert code == 2
+    assert out == ""
+    assert "below 2^31" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_h1_missing_file_exits_two(capsys):
@@ -457,12 +483,16 @@ def test_malformed_element_exits_two(capsys, tmp_path, images):
 
 
 _RING_TOKENS = st.sampled_from(["Z", "Q", "Fp", "F2", "F3", "F4", "F", "R"]) | _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=2)
-_COEFFS = st.integers(-2, 2) | st.sampled_from(["1/2", "-3", "1/0", "x", "2/4"]) | _JSON_SCALARS
+_COEFFS = (
+    st.integers(-2, 2)
+    | st.sampled_from(["1/2", "-3", "1/0", "x", "2/4", "1e1000000", "1.5", " 3 ", "1_000"])
+    | _JSON_SCALARS
+)
 # Element documents close to valid ones, so that most examples reach the
 # endomorphism and Leibniz checks rather than stopping at the first key.
 _ELEMENT = st.fixed_dictionaries(
     {"ring": _RING_TOKENS, "coeffs": st.lists(st.integers(0, 1) | _COEFFS, min_size=1, max_size=7) | _JSON},
-    optional={"p": st.integers(-1, 7) | _JSON_SCALARS},
+    optional={"p": st.integers(-1, 7) | st.sampled_from([2**31 - 1, 10**14 + 31]) | _JSON_SCALARS},
 ) | _JSON
 _MAP_DOC = st.fixed_dictionaries({"images": st.lists(_ELEMENT, max_size=7) | _JSON}) | _JSON
 

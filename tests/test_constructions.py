@@ -166,7 +166,7 @@ def test_level_two_bundle(q8):
     parts = [inner_derivation(w, bundle.sigma, bundle.tau) for w in bundle.witnesses]
     assert parts[0] + parts[1] == bundle.delta
     # Inner with the witness sum, and with the solver's canonical witness.
-    assert inner_derivation(bundle.witness_sum, bundle.sigma, bundle.tau) == bundle.delta
+    assert inner_derivation(bundle.witnesses[0] + bundle.witnesses[1], bundle.sigma, bundle.tau) == bundle.delta
     witness = inner_witness(bundle.delta, bundle.sigma, bundle.tau)
     assert witness is not None
     assert inner_derivation(witness, bundle.sigma, bundle.tau) == bundle.delta

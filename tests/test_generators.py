@@ -5,7 +5,8 @@ Leibniz rule, multiplicativity, associativity and the witness equation) is
 compared here with a straightforward all-pairs version that lives only in
 this file, on random inputs that both pass and fail the check. The
 separable fast path of ``derivation_space`` is compared with the Leibniz
-solver it bypasses.
+solver it bypasses. The library reads the matrix of ``x -> d_x`` by index;
+the references here build it from group-ring products.
 """
 
 import math
@@ -31,6 +32,7 @@ from grpder import (
     inner_derivation,
     inner_witness,
     inner_witness_integer,
+    inner_witness_with_support,
     invert,
     is_derivation,
     leibniz_space,
@@ -38,6 +40,7 @@ from grpder import (
     standard_group,
     twisted_centralizer,
 )
+from grpder.derivations import _inner_rows
 from grpder.linalg import ExactMatrix, integer_solve
 from grpder.rings import GF, QQ, ZZ
 from grpder.serialization import derivation_to_json
@@ -133,6 +136,11 @@ def ref_leibniz_kernel(sigma, tau):
     return system.kernel_basis()
 
 
+def flat(d):
+    """The images of the non-identity basis elements, concatenated."""
+    return [v for img in d.images[1:] for v in img.coeffs]
+
+
 def ref_witness_rows(sigma, tau):
     """Rows of ``alpha tau(g) - sigma(g) alpha = d(g)`` for every ``g != 1``."""
     group = sigma.group
@@ -163,6 +171,33 @@ def ref_snf_witness(delta, sigma, tau):
     for i, k, row in ref_witness_rows(sigma, tau):
         rows.append(row)
         rhs.append(delta.images[i].coeffs[k])
+    return integer_solve(ExactMatrix(ZZ, rows), rhs)
+
+
+def ref_inner_rows(sigma, tau):
+    """The nonzero flattened ``d_h``, each built from group-ring products."""
+    group, ring = sigma.group, sigma.ring
+    rows = []
+    for h in range(group.order):
+        d = inner_derivation(GroupRingElement.basis(group, ring, h), sigma, tau)
+        row = {c: v for c, v in enumerate(flat(d)) if v}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def ref_generator_snf_witness(delta, sigma, tau):
+    """``integer_solve`` on the product-built generator rows, in (generator, k) order.
+
+    The generators are ascending (see ``test_generators_generate_and_are_cached``),
+    so filtering keeps the solver's row order.
+    """
+    gens = set(sigma.group.generators())
+    rows, rhs = [], []
+    for i, k, row in ref_witness_rows(sigma, tau):
+        if i in gens:
+            rows.append(row)
+            rhs.append(delta.images[i].coeffs[k])
     return integer_solve(ExactMatrix(ZZ, rows), rhs)
 
 
@@ -414,7 +449,7 @@ def test_leibniz_kernel_matches_all_pairs(name, ring, seed):
     tau = random_endo(group, ring, rng)
     # The Leibniz solver by name: over Q and F5 the dispatcher would take
     # the fast path, which never builds these rows.
-    basis = [d.as_vector() for d in leibniz_space(sigma, tau).basis]
+    basis = [flat(d) for d in leibniz_space(sigma, tau).basis]
     assert basis == ref_leibniz_kernel(sigma, tau)
 
 
@@ -434,6 +469,10 @@ def test_centralizer_and_field_witness_match_all_rows(name, ring, inner, seed):
     witness = inner_witness(delta, sigma, tau)
     expected = ref_field_system(sigma, tau, delta).particular_solution()
     assert (None if witness is None else list(witness.coeffs)) == expected
+    # The support-constrained solver shares the solve; with every index
+    # allowed (in any order, repeats included) it must give the same answer.
+    everywhere = [*reversed(range(group.order)), 0]
+    assert inner_witness_with_support(delta, sigma, tau, everywhere) == witness
     if inner:
         assert witness is not None
 
@@ -460,6 +499,8 @@ def test_snf_witness_matches_all_rows(name, inner, seed):
         delta = derivation_from_images(images, sigma, tau)
     assert ref_is_derivation(delta.images, sigma, tau)
     witness = inner_witness_integer(delta, sigma, tau)
+    # The same matrix, entry for entry and row for row, gives the same witness.
+    assert (None if witness is None else list(witness.coeffs)) == ref_generator_snf_witness(delta, sigma, tau)
     reference = ref_snf_witness(delta, sigma, tau)
     assert (witness is None) == (reference is None)
     assert gcd_criterion(delta, sigma, tau) == (witness is not None)
@@ -546,3 +587,24 @@ def test_fast_path_matches_leibniz(name, ring, sigma_kind, tau_kind, seed):
     assert [derivation_to_json(d) for d in fast.basis] == [derivation_to_json(d) for d in reference.basis]
     assert _scalar_types(fast) == _scalar_types(reference)
     assert fast.inner_basis == reference.inner_basis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(SMALL + LARGER),
+    # F2 and F3 divide some orders here (the Leibniz path), F5 and Q none.
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    TWISTS,
+    TWISTS,
+    SEEDS,
+)
+def test_inner_rows_match_products(name, ring, sigma_kind, tau_kind, seed):
+    rng = random.Random(seed)
+    group = GROUPS[name]
+    sigma = twist(group, ring, sigma_kind, rng)
+    tau = twist(group, ring, tau_kind, rng)
+
+    def entries(rows):
+        return [[(c, v, type(v)) for c, v in row.items()] for row in rows]
+
+    assert entries(_inner_rows(sigma, tau)) == entries(ref_inner_rows(sigma, tau))

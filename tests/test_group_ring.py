@@ -15,7 +15,6 @@ from grpder import (
     NotMultiplicative,
     augmentation,
     center_basis,
-    commutator_subspace,
     conjugacy_classes,
     conjugation_endo,
     endo_from_group_map,
@@ -23,10 +22,9 @@ from grpder import (
     identity_endo,
     invert,
     is_central_endo,
-    multiply,
     standard_group,
 )
-from grpder.group_ring import linear_extension
+from grpder.group_ring import commutator_span_system, linear_extension
 from grpder.rings import GF, QQ, ZZ
 
 
@@ -48,20 +46,20 @@ def c2():
 def test_one_is_neutral(s3):
     one = GroupRingElement.one(s3, QQ)
     b = GroupRingElement(s3, QQ, [1, -2, 3, 0, Fraction(1, 2), 5])
-    assert multiply(one, b) == b
-    assert multiply(b, one) == b
+    assert one * b == b
+    assert b * one == b
 
 
 def test_zc2_product(c2):
     a = GroupRingElement(c2, ZZ, [1, 1])
     b = GroupRingElement(c2, ZZ, [1, -1])
-    assert multiply(a, b).is_zero
+    assert (a * b).is_zero
 
 
 def test_s3_rotation_product(s3):
     r = GroupRingElement.basis(s3, ZZ, 1)
     r2 = GroupRingElement.basis(s3, ZZ, 2)
-    assert multiply(r, r2) == GroupRingElement.one(s3, ZZ)
+    assert r * r2 == GroupRingElement.one(s3, ZZ)
 
 
 def test_augmentation_values(c2):
@@ -69,7 +67,7 @@ def test_augmentation_values(c2):
     assert augmentation(GroupRingElement.zero(c2, ZZ)) == 0
     a = GroupRingElement(c2, ZZ, [1, 1])
     b = GroupRingElement(c2, ZZ, [1, -1])
-    assert augmentation(multiply(a, b)) == 0
+    assert augmentation(a * b) == 0
     assert augmentation(a) * augmentation(b) == 0
 
 
@@ -78,7 +76,7 @@ def test_augmentation_is_multiplicative(s3):
     for _ in range(20):
         a = GroupRingElement(s3, ZZ, [rng.randint(-4, 4) for _ in range(6)])
         b = GroupRingElement(s3, ZZ, [rng.randint(-4, 4) for _ in range(6)])
-        assert augmentation(multiply(a, b)) == augmentation(a) * augmentation(b)
+        assert augmentation(a * b) == augmentation(a) * augmentation(b)
 
 
 def test_ring_axioms_sampled(q8):
@@ -243,26 +241,26 @@ def test_conjugation_by_class_sum_combination(s3):
 
 
 def test_commutator_subspace_dimensions():
-    assert commutator_subspace(standard_group("C4"), QQ) == []
+    assert commutator_span_system(standard_group("C4"), QQ).rank == 0
     for name in ("S3", "D4", "Q8", "A4"):
         group = standard_group(name)
-        dim = len(commutator_subspace(group, QQ))
+        dim = commutator_span_system(group, QQ).rank
         assert dim == group.order - len(conjugacy_classes(group))
 
 
 def test_commutator_elements_have_zero_augmentation(q8):
-    for vec in commutator_subspace(q8, QQ):
-        assert augmentation(vec) == 0
+    for vec in commutator_span_system(q8, QQ).span_basis():
+        assert augmentation(GroupRingElement(q8, QQ, vec)) == 0
 
 
 def test_mixed_ring_and_group_errors(c2, s3):
     a = GroupRingElement(c2, ZZ, [1, 0])
     b = GroupRingElement(c2, QQ, [1, 0])
     with pytest.raises(MixedRings):
-        multiply(a, b)
+        a * b
     c = GroupRingElement.one(s3, ZZ)
     with pytest.raises(MixedGroups):
-        multiply(a, c)
+        a * c
 
 
 def test_scalar_coercion_rejects_bad_values(c2):

