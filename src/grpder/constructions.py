@@ -149,8 +149,6 @@ def build_truncation(
     level: int,
     x_choices=None,
     *,
-    ring: Ring = QQ,
-    max_order: int = TRUNCATION_MAX_ORDER,
     cancel: CancelToken | None = None,
 ) -> TruncationBundle:
     """Assemble ``H^level`` with componentwise twist and the tower derivation.
@@ -160,7 +158,8 @@ def build_truncation(
     per factor (default: the least-index non-central element). The derivation
     is the inner derivation of the sum of the embedded choices, so it is a
     derivation by construction and is not checked again here; the
-    verification suite checks it with :func:`is_derivation`.
+    verification suite checks it with :func:`is_derivation`. The bundle is
+    over ``QQ`` and its order is capped at ``TRUNCATION_MAX_ORDER``.
     """
     if base.is_abelian:
         raise AbelianBase("base group must be non-abelian")
@@ -168,9 +167,10 @@ def build_truncation(
         raise NotClassPreserving("automorphism moves a conjugacy class")
     if level < 1:
         raise OrderCapExceeded("level must be at least 1")
-    if level * math.log(base.order) > math.log(max_order) + 1e-9:
+    if level * math.log(base.order) > math.log(TRUNCATION_MAX_ORDER) + 1e-9:
         raise OrderCapExceeded(
-            f"level {level} exceeds the truncation cap ({base.order}^{level} > {max_order})"
+            f"level {level} exceeds the truncation cap"
+            f" ({base.order}^{level} > {TRUNCATION_MAX_ORDER})"
         )
     order = base.order**level
 
@@ -203,14 +203,14 @@ def build_truncation(
         return out
 
     sigma_map = [map_index(g) for g in range(order)]
-    sigma = endo_from_group_map(group, ring, sigma_map)
-    tau = identity_endo(group, ring)
+    sigma = endo_from_group_map(group, QQ, sigma_map)
+    tau = identity_endo(group, QQ)
 
     witness_indices = tuple(
         x_choices[f] * digits_weight[f] for f in range(level)
     )
     witnesses = tuple(
-        GroupRingElement.basis(group, ring, idx) for idx in witness_indices
+        GroupRingElement.basis(group, QQ, idx) for idx in witness_indices
     )
     total = witnesses[0]
     for w in witnesses[1:]:
@@ -220,7 +220,7 @@ def build_truncation(
         base=base,
         level=level,
         group=group,
-        ring=ring,
+        ring=QQ,
         sigma=sigma,
         tau=tau,
         delta=delta,

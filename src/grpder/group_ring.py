@@ -390,16 +390,19 @@ def is_central_endo(phi: RingEndomorphism) -> bool:
 
 
 def commutator_span_system(group: FiniteGroup, ring: Ring) -> LinearSystem:
-    """Echelonized span of all basis commutators ``gh - hg`` over a field."""
+    """Echelonized span of all basis commutators ``gh - hg`` over a field.
+
+    The span is read off the conjugacy classes: it is spanned by ``c - y``
+    for ``c`` the least member of a class and ``y`` another member, n - k
+    rows for k classes. ``gh - hg = a - g^-1 a g`` with ``a = gh``, and
+    conversely ``y - g^-1 y g = g (g^-1 y) - (g^-1 y) g``.
+    """
     if not ring.is_field:
         raise NotAField(f"commutator subspace requires a field, got {ring}")
-    n = group.order
-    table = group.table
-    system = LinearSystem(n, ring)
+    system = LinearSystem(group.order, ring)
     one = ring.one
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = table[i][j], table[j][i]
-            if a != b:
-                system.add_row({a: one, b: -one})
+    for cls in conjugacy_classes(group):
+        least, *rest = cls.members
+        for y in rest:
+            system.add_row({least: one, y: -one})
     return system

@@ -48,11 +48,11 @@ class FiniteGroup:
 
     __slots__ = (
         "order", "table", "labels", "name",
-        "_inverse", "_center", "_classes", "_abelian", "_generators",
+        "_inverse", "_classes", "_generators",
     )
 
     def __init__(self, table, labels=None, name: str | None = None, *, _validated: bool = False):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(map(tuple, table))
         self.order = len(rows)
         self.table = rows
         self.labels = tuple(str(s) for s in labels) if labels is not None else None
@@ -60,9 +60,7 @@ class FiniteGroup:
             raise ValueError("labels length does not match group order")
         self.name = name
         self._inverse: tuple[int, ...] | None = None
-        self._center: tuple[int, ...] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
-        self._abelian: bool | None = None
         self._generators: tuple[int, ...] | None = None
         if not _validated:
             self.validate()
@@ -85,6 +83,8 @@ class FiniteGroup:
             if len(row) != n:
                 raise NotAGroup("not-latin", f"row {i} has length {len(row)}")
             for v in row:
+                if type(v) is not int:
+                    raise NotAGroup("not-latin", f"entry {v!r} in row {i} is not an integer")
                 if not 0 <= v < n:
                     raise NotAGroup("not-latin", f"entry {v} out of range in row {i}")
         for j in range(n):
@@ -169,11 +169,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            n = self.order
-            self._abelian = all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
-        return self._abelian
+        """True iff every conjugacy class has one element."""
+        return len(conjugacy_classes(self)) == self.order
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -232,9 +229,10 @@ def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     """Validate a Cayley table eagerly and wrap it as a FiniteGroup.
 
     This is the boundary for tables from outside the program: every row
-    must be a list or tuple and every entry a plain ``int`` (not a bool, a
-    float or a digit string), and labels, if given, must be a list of
-    distinct strings; then the group axioms are checked.
+    must be a list or tuple, and labels, if given, must be a list of
+    distinct strings; then :meth:`FiniteGroup.validate` checks that every
+    entry is a plain ``int`` (not a bool, a float or a digit string) and
+    the group axioms.
     """
     rows = list(table)
     if len(rows) > max_group_order():
@@ -242,9 +240,6 @@ def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise NotAGroup("not-latin", f"row {i} is not a list")
-        for v in row:
-            if type(v) is not int:
-                raise NotAGroup("not-latin", f"entry {v!r} in row {i} is not an integer")
     if labels is not None and (
         not isinstance(labels, (list, tuple))
         or any(type(s) is not str for s in labels)
@@ -434,32 +429,36 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def center(group: FiniteGroup) -> Subset:
-    """Elements commuting with everything, as a sorted Subset."""
-    if group._center is None:
-        t = group.table
-        n = group.order
-        members = tuple(
-            i for i in range(n) if all(t[i][j] == t[j][i] for j in range(n))
-        )
-        group._center = members
-    return Subset(group, group._center)
+    """Elements commuting with everything, as a sorted Subset: the one-element classes."""
+    return Subset(group, tuple(c.members[0] for c in conjugacy_classes(group) if len(c) == 1))
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[Subset]:
-    """Partition into conjugation orbits, classes ordered by least member."""
+    """Partition into conjugation orbits, classes ordered by least member.
+
+    The class of ``x`` is its closure under ``y -> s^-1 y s`` for ``s`` in
+    :meth:`FiniteGroup.generators`. Each such map is a permutation of finite
+    order, so its inverse is one of its powers, and a set closed under the
+    maps for a generating set is closed under conjugation by every element.
+    This is the only code that computes group structure: the center,
+    ``is_abelian`` and the commutator span are read off these classes.
+    """
     if group._classes is None:
-        n = group.order
-        seen = [False] * n
+        table = group.table
+        steps = [(table[group.inverse(s)], s) for s in group.generators()]
+        seen = [False] * group.order
         classes = []
-        for x in range(n):
+        for x in range(group.order):
             if seen[x]:
                 continue
-            orbit = set()
-            for g in range(n):
-                y = group.conjugate(g, x)
-                orbit.add(y)
+            seen[x] = True
+            orbit = [x]
             for y in orbit:
-                seen[y] = True
+                for row_inv, s in steps:
+                    z = table[row_inv[y]][s]
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
             classes.append(tuple(sorted(orbit)))
         group._classes = tuple(classes)
     return [Subset(group, members) for members in group._classes]

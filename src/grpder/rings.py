@@ -154,9 +154,14 @@ ZZ = IntegerRing()
 QQ = RationalField()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def GF(p: int) -> PrimeField:
-    """The prime field with ``p`` elements (``p`` must be prime)."""
+    """The prime field with ``p`` elements (``p`` must be prime).
+
+    The cache is bounded so that a long-lived process fed distinct moduli
+    does not keep every field; rings compare by token, so a field built
+    again after eviction equals the old one.
+    """
     return PrimeField(p)
 
 

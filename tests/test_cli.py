@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -326,6 +327,34 @@ def test_counterexample_level_two(capsys):
     data = json.loads(out)
     assert data["witness_full"] is not None
     assert data["restricted_support_feasible"] is False
+
+
+@pytest.mark.parametrize("base", ["S3", "A4"])
+def test_counterexample_bases_served_by_benchmark(capsys, base):
+    code, out, _ = run(capsys, "counterexample", "--base", base, "--n", "2")
+    assert code == 0
+    assert json.loads(out)["restricted_support_feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "base,digest",
+    [
+        ("Q8", "3c0c13d406204a3a09675cc6e92c19fb6f7c2db2ba05f7c40856a8109e65ee7b"),
+        ("D4", "134b482b5dc56cb4b88d9172baf38384052c20a6672d9f9875cb35be2a046de4"),
+    ],
+)
+def test_counterexample_output_is_pinned(capsys, base, digest):
+    code, out, _ = run(capsys, "counterexample", "--base", base, "--n", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("base", ["C4", "C2xC2", "C1"])
+def test_counterexample_abelian_base_exits_two(capsys, base):
+    code, out, err = run(capsys, "counterexample", "--base", base, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: base group must be non-abelian\n"
 
 
 def test_counterexample_cap_exits_two(capsys):

@@ -1,3 +1,5 @@
+import functools
+import random
 import re
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpder import (
+    FiniteGroup,
     NotAGroup,
     OrderCapExceeded,
     Subset,
@@ -16,6 +19,9 @@ from grpder import (
     make_from_table,
     standard_group,
 )
+from grpder.group_ring import commutator_span_system
+from grpder.linalg import LinearSystem
+from grpder.rings import GF, QQ
 
 STANDARD_NAMES = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4"]
 
@@ -40,6 +46,65 @@ def brute_classes(group):
     return classes
 
 
+def brute_is_abelian(group):
+    n = group.order
+    return all(group.mul(i, j) == group.mul(j, i) for i in range(n) for j in range(i + 1, n))
+
+
+def brute_commutator_system(group, ring):
+    """Span of ``gh - hg`` over every pair ``i < j``."""
+    system = LinearSystem(group.order, ring)
+    for i in range(group.order):
+        for j in range(i + 1, group.order):
+            a, b = group.mul(i, j), group.mul(j, i)
+            if a != b:
+                system.add_row({a: ring.one, b: -ring.one})
+    return system
+
+
+def relabelled(group, seed):
+    """The same group under a random index permutation that fixes 0."""
+    perm = list(range(1, group.order))
+    random.Random(seed).shuffle(perm)
+    perm = [0] + perm
+    table = [[0] * group.order for _ in range(group.order)]
+    for i in range(group.order):
+        for j in range(group.order):
+            table[perm[i]][perm[j]] = perm[group.mul(i, j)]
+    return make_from_table(table)
+
+
+def _primes_for(n):
+    """A prime dividing ``n`` (if any) and the least prime not dividing it."""
+    primes = [2, 3, 5, 7]
+    dividing = [p for p in primes if n % p == 0][:1]
+    return dividing + [next(p for p in primes if n % p)]
+
+
+STRUCTURE_FACTORS = [(name,) for name in STANDARD_NAMES] + [
+    ("S3", "C2"), ("D4", "C2"), ("A4", "C2"), ("Q8", "Q8"),
+]
+STRUCTURE_CASES = [(factors, seed) for factors in STRUCTURE_FACTORS for seed in (None, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "factors,seed", STRUCTURE_CASES, ids=[f"{'x'.join(f)}-{seed}" for f, seed in STRUCTURE_CASES]
+)
+def test_structure_matches_all_pairs(factors, seed):
+    # Relabelled copies are fresh groups whose generators() differ.
+    group = functools.reduce(direct_product, map(standard_group, factors))
+    if seed is not None:
+        group = relabelled(group, seed)
+    assert [c.members for c in conjugacy_classes(group)] == brute_classes(group)
+    assert list(center(group).members) == brute_center(group)
+    assert group.is_abelian == brute_is_abelian(group)
+    for ring in [QQ] + [GF(p) for p in _primes_for(group.order)]:
+        span = commutator_span_system(group, ring)
+        reference = brute_commutator_system(group, ring)
+        assert span.rank == reference.rank
+        assert span.span_basis() == reference.span_basis()
+
+
 def test_trivial_group():
     g = make_from_table([[0]])
     assert g.order == 1
@@ -55,6 +120,13 @@ def test_c2_table():
 def test_not_latin_rejected():
     with pytest.raises(NotAGroup) as err:
         make_from_table([[0, 1], [1, 1]])
+    assert err.value.reason == "not-latin"
+
+
+@pytest.mark.parametrize("table", [[[0, 1.0], [1.0, 0]], [[0, True], [True, 0]], [[0, "1"], ["1", 0]]])
+def test_constructor_rejects_non_integer_entries(table):
+    with pytest.raises(NotAGroup, match="not an integer") as err:
+        FiniteGroup(table)
     assert err.value.reason == "not-latin"
 
 

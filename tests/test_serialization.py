@@ -101,6 +101,22 @@ def test_modulus_is_bounded():
         assert time.perf_counter() - start < 0.1
 
 
+def test_prime_field_cache_is_bounded():
+    primes = [p for p in range(2, 8000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    assert len(primes) >= 1000
+    before = GF(5)
+    for p in primes:
+        GF(p)
+    info = GF.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # GF(5) was evicted; the field built again is equal, and elements of the
+    # two instances still combine.
+    assert GF(5) is not before and GF(5) == before
+    c2 = standard_group("C2")
+    total = GroupRingElement(c2, before, [1, 2]) + GroupRingElement(c2, GF(5), [4, 3])
+    assert total == GroupRingElement(c2, GF(5), [0, 0])
+
+
 @pytest.mark.parametrize("raw", ["1e1000000", "1e3000000", "1.5", " 3 ", "1_000", "+3", "1/-2", "", "3\n", "1/2/3"])
 def test_parse_scalar_accepts_only_decimal_integers_and_fractions(raw):
     start = time.perf_counter()
