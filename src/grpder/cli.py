@@ -65,7 +65,7 @@ def _load_json(path: str) -> dict:
 def _load_group(path: str):
     try:
         return group_from_json(_load_json(path))
-    except (AlgebraError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageFailure(f"invalid group file {path}: {exc}") from exc
 
 
@@ -81,7 +81,7 @@ def _load_endo(spec: str, group, ring):
         return identity_endo(group, ring)
     try:
         return endo_from_json(group, _load_json(spec), ring)
-    except (AlgebraError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageFailure(f"invalid endomorphism file {spec}: {exc}") from exc
 
 
@@ -154,7 +154,7 @@ def _load_delta(args, group, ring, sigma, tau):
     raw = _load_json(args.delta)
     try:
         images = derivation_images_from_json(group, raw, ring)
-    except (AlgebraError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageFailure(f"invalid derivation file {args.delta}: {exc}") from exc
     try:
         return derivation_from_images(images, sigma, tau)

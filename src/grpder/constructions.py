@@ -26,7 +26,6 @@ from .errors import (
     CentralChoice,
     DifferenceNotAUnit,
     NotAbelian,
-    NotAField,
     NotAHomomorphism,
     NotAnAutomorphism,
     NotClassPreserving,
@@ -243,9 +242,6 @@ def inner_witness_with_support(
     disallowed coordinates pinned to zero; returns a supported witness or
     None when the constrained affine system is infeasible.
     """
-    ring = sigma.ring
-    if not ring.is_field:
-        raise NotAField(f"support-constrained witness requires a field, got {ring}")
     _check_same_pair(delta, sigma, tau)
     allowed = sorted(set(int(i) for i in support))
     return _field_witness(delta, sigma, tau, allowed, cancel)

@@ -21,7 +21,6 @@ from .errors import (
     MixedGroups,
     MixedRings,
     NotADerivation,
-    NotAField,
     NotAUnit,
     NotAWitness,
     NotCentral,
@@ -214,11 +213,6 @@ def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndo
     return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, _validated=True)
 
 
-def _require_field(ring: Ring) -> None:
-    if not ring.is_field:
-        raise NotAField(f"operation requires field coefficients, got {ring}")
-
-
 def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
     group, ring = sigma.group, sigma.ring
     n = group.order
@@ -246,7 +240,6 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: 
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
-    _require_field(ring)
     n = sigma.group.order
     p = ring.characteristic
     if p and n % p == 0:
@@ -287,12 +280,11 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: Can
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
-    _require_field(ring)
     group = sigma.group
     n = group.order
+    system = LinearSystem(n * (n - 1), ring)
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
-    system = LinearSystem(n * (n - 1), ring)
     one = ring.one
     for j in group.generators():
         tj = tau.images[j]
@@ -354,7 +346,6 @@ def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[Derivati
     """Canonical basis of the space of inner derivations ``x -> d_x``."""
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
-    _require_field(ring)
     n = sigma.group.order
     system = LinearSystem(n * (n - 1), ring)
     for row in _inner_rows(sigma, tau):
@@ -402,7 +393,6 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
-    _require_field(ring)
     group = sigma.group
     system = LinearSystem(group.order, ring)
     for _i, _k, row in _witness_rows(sigma, tau):
@@ -430,7 +420,6 @@ def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     The returned representative is canonical: free coordinates of the witness
     system are set to zero under the reduced-echelon pivot order.
     """
-    _require_field(sigma.ring)
     _check_same_pair(delta, sigma, tau)
     return _field_witness(delta, sigma, tau, None, cancel)
 
@@ -487,7 +476,7 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     for i, k, row in _witness_rows(sigma, tau):
         rows.append([row.get(h, 0) for h in range(n)])
         rhs.append(delta.images[i].coeffs[k])
-    solution = integer_solve(ExactMatrix(ZZ, rows), rhs, cancel=cancel)
+    solution = integer_solve(ExactMatrix(ZZ, rows, _validated=True), rhs, cancel=cancel)
     if solution is None:
         return None
     return GroupRingElement(group, ZZ, solution, _normalized=True)
@@ -567,7 +556,6 @@ def zc2_congruence_check(
     are verified before the congruence itself is tested.
     """
     ring = sigma.ring
-    _require_field(ring)
     _check_same_pair(delta, sigma, tau)
     u_inv = invert(u)
     if u_inv is None:

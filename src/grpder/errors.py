@@ -11,7 +11,7 @@ class NotAGroup(AlgebraError):
     """A Cayley table fails one of the group axioms.
 
     ``reason`` is one of ``no-identity-at-0``, ``not-latin``,
-    ``not-associative``, ``no-inverse``.
+    ``not-associative``.
     """
 
     def __init__(self, reason: str, detail: str = "") -> None:
@@ -24,7 +24,7 @@ class UnknownGroupName(AlgebraError):
 
 
 class OrderCapExceeded(AlgebraError):
-    """A construction would exceed the configured group-order cap."""
+    """A construction would exceed the configured group-order cap, or the cap is malformed."""
 
 
 class MixedRings(AlgebraError):

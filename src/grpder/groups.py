@@ -33,9 +33,9 @@ def max_group_order() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_MAX_ORDER} must be an integer, got {raw!r}") from exc
+        raise OrderCapExceeded(f"{_ENV_MAX_ORDER} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"{_ENV_MAX_ORDER} must be positive")
+        raise OrderCapExceeded(f"{_ENV_MAX_ORDER} must be positive, got {value}")
     return value
 
 
@@ -60,7 +60,7 @@ class FiniteGroup:
             raise ValueError("labels length does not match group order")
         self.name = name
         self._inverse: tuple[int, ...] | None = None
-        self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._classes: tuple[Subset, ...] | None = None
         self._generators: tuple[int, ...] | None = None
         if not _validated:
             self.validate()
@@ -74,6 +74,8 @@ class FiniteGroup:
         all ``x, y`` and every ``s`` in :meth:`generators`. The elements
         ``m`` with ``(x m) y = x (m y)`` for all ``x, y`` are closed under
         the product, so holding on a generating set means holding everywhere.
+        Inverses need no check of their own: every row is a permutation of
+        the indices, so it contains the identity 0.
         """
         n = self.order
         if n == 0:
@@ -111,9 +113,6 @@ class FiniteGroup:
                         raise NotAGroup(
                             "not-associative", f"(g{i}*g{j})*g{k} != g{i}*(g{j}*g{k})"
                         )
-        for i in range(n):
-            if 0 not in table[i]:
-                raise NotAGroup("no-inverse", f"element {i} has no inverse")
 
     def generators(self) -> tuple[int, ...]:
         """A generating set, ascending; cached.
@@ -441,7 +440,9 @@ def conjugacy_classes(group: FiniteGroup) -> list[Subset]:
     order, so its inverse is one of its powers, and a set closed under the
     maps for a generating set is closed under conjugation by every element.
     This is the only code that computes group structure: the center,
-    ``is_abelian`` and the commutator span are read off these classes.
+    ``is_abelian`` and the commutator span are read off these classes. The
+    classes are built once per group; each call returns a new list of the
+    same immutable :class:`Subset` objects.
     """
     if group._classes is None:
         table = group.table
@@ -459,9 +460,9 @@ def conjugacy_classes(group: FiniteGroup) -> list[Subset]:
                     if not seen[z]:
                         seen[z] = True
                         orbit.append(z)
-            classes.append(tuple(sorted(orbit)))
+            classes.append(Subset(group, tuple(orbit)))
         group._classes = tuple(classes)
-    return [Subset(group, members) for members in group._classes]
+    return list(group._classes)
 
 
 def center_transversal(group: FiniteGroup) -> list[int]:

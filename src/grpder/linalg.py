@@ -24,22 +24,30 @@ from .util import CancelToken, check_cancel
 
 
 class ExactMatrix:
-    """Dense row-major matrix with entries in a single exact ring."""
+    """Dense row-major matrix with entries in a single exact ring.
+
+    Producers whose rows are rectangular lists of ring elements by
+    construction (the Smith factors, :meth:`matmul`, the integral witness
+    matrix) pass ``_validated=True``; the rows are then kept as they are,
+    without a copy or a coercion.
+    """
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring: Ring, entries) -> None:
-        rows = [list(row) for row in entries]
+    def __init__(self, ring: Ring, entries, *, _validated: bool = False) -> None:
+        rows = entries if _validated else [list(row) for row in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         cols = len(rows[0])
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
+        if not _validated:
+            for row in rows:
+                if len(row) != cols:
+                    raise ValueError("ragged matrix rows")
+            rows = [[ring.coerce(v) for v in row] for row in rows]
         self.ring = ring
         self.rows = len(rows)
         self.cols = cols
-        self.entries = [[ring.coerce(v) for v in row] for row in rows]
+        self.entries = rows
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "ExactMatrix":
@@ -70,7 +78,7 @@ class ExactMatrix:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(self.ring.normalize(acc))
             out.append(row)
-        return ExactMatrix(self.ring, out)
+        return ExactMatrix(self.ring, out, _validated=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,11 +105,15 @@ class LinearSystem:
     ``augmented=True`` the right-hand side is carried in a virtual extra
     column, and a row reducing to "0 = nonzero" marks the system
     inconsistent.
+
+    The constructor is the library's only check that the coefficients form
+    a field: every field-only entry point builds its system before any
+    other work, so over Z it raises NotAField from here.
     """
 
     def __init__(self, ncols: int, ring: Ring, *, augmented: bool = False) -> None:
         if not ring.is_field:
-            raise NotAField(f"linear system requires a field, got {ring}")
+            raise NotAField(f"operation requires field coefficients, got {ring}")
         self.ncols = ncols
         self.ring = ring
         self._p = ring.characteristic  # 0 for Q
@@ -307,14 +319,8 @@ class LinearSystem:
         return not any(self.reduce_vector(vector))
 
 
-def _require_field_matrix(matrix: ExactMatrix) -> None:
-    if not matrix.ring.is_field:
-        raise NotAField(f"operation requires field coefficients, got {matrix.ring}")
-
-
 def kernel_basis(matrix: ExactMatrix) -> list[list[Scalar]]:
     """Basis of the right nullspace of a matrix over Q or F_p."""
-    _require_field_matrix(matrix)
     system = LinearSystem(matrix.cols, matrix.ring)
     for row in matrix.entries:
         system.add_row({c: v for c, v in enumerate(row) if v})
@@ -323,17 +329,15 @@ def kernel_basis(matrix: ExactMatrix) -> list[list[Scalar]]:
 
 def solve(matrix: ExactMatrix, rhs) -> list[Scalar] | None:
     """Some solution of ``A x = b`` with free variables zeroed, or None."""
-    _require_field_matrix(matrix)
+    system = LinearSystem(matrix.cols, matrix.ring, augmented=True)
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    system = LinearSystem(matrix.cols, matrix.ring, augmented=True)
     for row, b in zip(matrix.entries, rhs):
         system.add_row({c: v for c, v in enumerate(row) if v}, matrix.ring.coerce(b))
     return system.particular_solution()
 
 
 def rank(matrix: ExactMatrix) -> int:
-    _require_field_matrix(matrix)
     system = LinearSystem(matrix.cols, matrix.ring)
     for row in matrix.entries:
         system.add_row({c: v for c, v in enumerate(row) if v})
@@ -466,7 +470,9 @@ def smith_normal_form(matrix: ExactMatrix, *, cancel: CancelToken | None = None)
         t += 1
 
     return SNFDecomposition(
-        U=ExactMatrix(ZZ, U), S=ExactMatrix(ZZ, S), V=ExactMatrix(ZZ, V)
+        U=ExactMatrix(ZZ, U, _validated=True),
+        S=ExactMatrix(ZZ, S, _validated=True),
+        V=ExactMatrix(ZZ, V, _validated=True),
     )
 
 
@@ -480,9 +486,8 @@ def integer_solve(matrix: ExactMatrix, rhs, *, cancel: CancelToken | None = None
     require_same_ring(matrix.ring, ZZ)
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    b = [ZZ.coerce(v) for v in rhs]
     snf = smith_normal_form(matrix, cancel=cancel)
-    c = snf.U.mul_vec(b)
+    c = snf.U.mul_vec(rhs)
     m, n = matrix.rows, matrix.cols
     y = [0] * n
     for i in range(min(m, n)):

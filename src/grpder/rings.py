@@ -2,8 +2,8 @@
 
 Scalars are plain Python objects: ``int`` for Z and F_p (prime-field values
 normalized into ``[0, p)``), ``fractions.Fraction`` for Q. Ring descriptors
-carry the ring-specific operations (coercion, inversion, normalization) so
-that hot loops can use native ``+``/``*`` and only normalize where needed.
+carry the ring-specific operations (coercion, normalization) so that hot
+loops can use native ``+``/``*`` and only normalize where needed.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class Ring:
         """Post-arithmetic cleanup (reduction mod p); identity for Z and Q."""
         return value
 
-    def inverse(self, value: Scalar) -> Scalar:
-        raise NotImplementedError
-
     def scalar_to_json(self, value: Scalar):
         return int(value)
 
@@ -86,11 +83,6 @@ class IntegerRing(Ring):
             raise ValueError(f"{value} is not an integer")
         raise ValueError(f"cannot coerce {value!r} into Z")
 
-    def inverse(self, value: Scalar) -> int:
-        if value in (1, -1):
-            return int(value)
-        raise ZeroDivisionError(f"{value} is not a unit in Z")
-
 
 class RationalField(Ring):
     token = "Q"
@@ -105,9 +97,6 @@ class RationalField(Ring):
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         raise ValueError(f"cannot coerce {value!r} into Q")
-
-    def inverse(self, value: Scalar) -> Fraction:
-        return Fraction(1) / value
 
     def scalar_to_json(self, value: Scalar):
         value = self.coerce(value)
@@ -142,12 +131,6 @@ class PrimeField(Ring):
 
     def normalize(self, value: Scalar) -> int:
         return value % self.p
-
-    def inverse(self, value: Scalar) -> int:
-        value = value % self.p
-        if value == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(value, self.p - 2, self.p)
 
 
 ZZ = IntegerRing()

@@ -63,7 +63,8 @@ def element_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None
         raise ValueError("coefficients must be a list")
     if len(coeffs) != group.order:
         raise ValueError("coefficient count does not match group order")
-    return GroupRingElement(group, ring, [parse_scalar(ring, v) for v in coeffs])
+    # parse_scalar returns ring.coerce of each value, so the constructor need not coerce again.
+    return GroupRingElement(group, ring, [parse_scalar(ring, v) for v in coeffs], _normalized=True)
 
 
 def endo_to_json(endo: RingEndomorphism) -> dict:

@@ -540,7 +540,7 @@ def criterion_commutative_closed_form(seed: int = DEFAULT_SEED, *, cancel: Cance
 def criterion_truncation_tower(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
     base = standard_group("Q8")
     i_index = 2
-    conj_map = [base.table[base.table[base.inverse(i_index)][h]][i_index] for h in range(base.order)]
+    conj_map = [base.conjugate(i_index, h) for h in range(base.order)]
     cases = []
     for level in (1, 2, 3):
         check_cancel(cancel)

@@ -363,6 +363,21 @@ def test_counterexample_cap_exits_two(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "make", "--name", "C2"], ["counterexample", "--base", "S3", "--n", "2"]],
+    ids=["group-make", "counterexample"],
+)
+def test_malformed_max_order_exits_two(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("GRPDER_MAX_ORDER", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: GRPDER_MAX_ORDER must be")
+
+
 def test_verify_paper_fast_subset(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(
