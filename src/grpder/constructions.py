@@ -40,7 +40,7 @@ from .group_ring import (
 )
 from .groups import FiniteGroup, center, conjugacy_classes, direct_product
 from .rings import QQ, Ring
-from .util import DEFAULT_SEED, CancelToken, check_cancel
+from .util import DEFAULT_SEED, check_cancel
 
 UNIT_SEARCH_DRAWS = 200
 TRUNCATION_MAX_ORDER = 512
@@ -51,8 +51,6 @@ def commutative_derivation_form(
     tau: RingEndomorphism,
     b: GroupRingElement,
     delta: DerivationMap,
-    *,
-    cancel: CancelToken | None = None,
 ) -> bool:
     """Verify ``d = (tau(b) - sigma(b))^-1 d(b) (tau - sigma)`` on every basis element.
 
@@ -68,7 +66,7 @@ def commutative_derivation_form(
         raise DifferenceNotAUnit("tau(b) - sigma(b) is not invertible")
     factor = diff_inv * delta.apply(b)
     for i in range(group.order):
-        check_cancel(cancel)
+        check_cancel()
         expected = factor * (tau.images[i] - sigma.images[i])
         if delta.images[i] != expected:
             return False
@@ -147,8 +145,6 @@ def build_truncation(
     sigma1,
     level: int,
     x_choices=None,
-    *,
-    cancel: CancelToken | None = None,
 ) -> TruncationBundle:
     """Assemble ``H^level`` with componentwise twist and the tower derivation.
 
@@ -187,7 +183,7 @@ def build_truncation(
 
     group = base
     for _ in range(level - 1):
-        check_cancel(cancel)
+        check_cancel()
         group = direct_product(group, base)
 
     f1 = [int(v) for v in sigma1]
@@ -233,8 +229,6 @@ def inner_witness_with_support(
     sigma: RingEndomorphism,
     tau: RingEndomorphism,
     support,
-    *,
-    cancel: CancelToken | None = None,
 ) -> GroupRingElement | None:
     """Witness for ``d = d_alpha`` constrained to ``alpha_i = 0`` outside ``support``.
 
@@ -244,4 +238,4 @@ def inner_witness_with_support(
     """
     _check_same_pair(delta, sigma, tau)
     allowed = sorted(set(int(i) for i in support))
-    return _field_witness(delta, sigma, tau, allowed, cancel)
+    return _field_witness(delta, sigma, tau, allowed)

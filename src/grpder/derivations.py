@@ -36,7 +36,7 @@ from .group_ring import (
 from .groups import FiniteGroup
 from .linalg import ExactMatrix, LinearSystem, integer_solve
 from .rings import QQ, ZZ, Ring, Scalar
-from .util import CancelToken, check_cancel
+from .util import check_cancel
 
 
 class DerivationMap:
@@ -49,7 +49,7 @@ class DerivationMap:
 
     __slots__ = ("group", "ring", "sigma", "tau", "images")
 
-    def __init__(self, group, ring, sigma, tau, images, *, cancel: CancelToken | None = None, _validated: bool = False):
+    def __init__(self, group, ring, sigma, tau, images, *, _validated: bool = False):
         self.group = group
         self.ring = ring
         self.sigma = sigma
@@ -58,7 +58,7 @@ class DerivationMap:
         if not _validated:
             if not group.same_group(sigma.group) or ring != sigma.ring:
                 raise ValueError("a derivation lives on the group and ring of its sigma")
-            if not is_derivation(self.images, sigma, tau, cancel=cancel):
+            if not is_derivation(self.images, sigma, tau):
                 raise NotADerivation("images violate d(1) = 0 or the Leibniz rule")
 
     def apply(self, element: GroupRingElement) -> GroupRingElement:
@@ -136,7 +136,7 @@ def _check_same_pair(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEnd
         raise ValueError("derivation is twisted by a different endomorphism pair")
 
 
-def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> bool:
+def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> bool:
     """Check ``d(1) = 0`` and the twisted Leibniz rule on the pairs ``(g, s)``.
 
     Here ``g`` runs over the group and ``s`` over its generators. With
@@ -168,7 +168,7 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
         dj = images[j]
         tj = tau_images[j]
         for i in range(1, n):
-            check_cancel(cancel)
+            check_cancel()
             di = images[i]
             si = sigma_images[i]
             acc: dict[int, Scalar] = {}
@@ -195,11 +195,11 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, can
     return True
 
 
-def derivation_from_images(images, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationMap:
+def derivation_from_images(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
     """The derivation with these basis images; raises NotADerivation when Leibniz fails."""
     if isinstance(images, DerivationMap):
         images = images.images
-    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, cancel=cancel)
+    return DerivationMap(sigma.group, sigma.ring, sigma, tau, images)
 
 
 def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
@@ -227,7 +227,7 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
     return maps
 
 
-def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationSpace:
+def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
     """The derivation space over a field, its inner subspace and h1.
 
     When the characteristic does not divide ``|G|`` every derivation is
@@ -243,12 +243,12 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: 
     n = sigma.group.order
     p = ring.characteristic
     if p and n % p == 0:
-        return leibniz_space(sigma, tau, cancel=cancel)
+        return leibniz_space(sigma, tau)
     width = n * (n - 1)
     last = width - 1
     forward = LinearSystem(width, ring)
     backward = LinearSystem(width, ring)
-    for row in _inner_rows(sigma, tau, cancel):
+    for row in _inner_rows(sigma, tau):
         rank = forward.rank
         forward.add_row(row)
         # A row dependent on the earlier rows is dependent in either column order.
@@ -266,7 +266,7 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: 
     )
 
 
-def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationSpace:
+def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
     """Solve the Leibniz system over a field, in any characteristic.
 
     The unknowns are the images ``d(g)`` of the non-identity basis elements,
@@ -290,7 +290,7 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: Can
         tj = tau.images[j]
         base_j = (j - 1) * n
         for i in range(1, n):
-            check_cancel(cancel)
+            check_cancel()
             si = sigma.images[i]
             base_i = (i - 1) * n
             t = table[i][j]
@@ -320,7 +320,7 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: Can
     )
 
 
-def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism, cancel: CancelToken | None = None):
+def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
     """The nonzero flattened ``d_h`` for ``h`` in the group basis; they span the inner derivations.
 
     Row ``h`` holds ``d_h(g_i)_k`` at column ``(i - 1) n + k`` for ``g_i != 1``:
@@ -330,7 +330,6 @@ def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism, cancel: CancelTo
     n = sigma.group.order
     rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for i, k, row in _witness_rows(sigma, tau, range(1, n)):
-        check_cancel(cancel)
         col = (i - 1) * n + k
         for h, v in row.items():
             if p:
@@ -364,7 +363,8 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
     the system over every ``g``: ``d - d_alpha`` is a derivation, and one
     vanishing on the generators vanishes everywhere by the Leibniz rule.
     ``elements`` replaces the generators by other indices ``i``. This is the
-    only code that computes entries of the matrix of ``x -> d_x``.
+    only code that computes entries of the matrix of ``x -> d_x``, and it
+    polls :func:`check_cancel` once per row for every solver it feeds.
     """
     group = sigma.group
     n = group.order
@@ -374,6 +374,7 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
         ti = tau.images[i]
         si = sigma.images[i]
         for k in range(n):
+            check_cancel()
             row: dict[int, Scalar] = {}
             row_k = table[k]
             for s in ti.support:
@@ -404,24 +405,24 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
     ]
 
 
-def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> int:
+def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:
     """dim(derivation space) - dim(inner subspace) over a field.
 
     It is 0 by the averaging argument whenever the characteristic does not
     divide ``|G|`` (see :func:`derivation_space`); :func:`leibniz_space`
     computes it without that argument.
     """
-    return derivation_space(sigma, tau, cancel=cancel).h1_dimension
+    return derivation_space(sigma, tau).h1_dimension
 
 
-def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> GroupRingElement | None:
+def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> GroupRingElement | None:
     """Some ``alpha`` with ``d = d_alpha`` over a field, or None.
 
     The returned representative is canonical: free coordinates of the witness
     system are set to zero under the reduced-echelon pivot order.
     """
     _check_same_pair(delta, sigma, tau)
-    return _field_witness(delta, sigma, tau, None, cancel)
+    return _field_witness(delta, sigma, tau, None)
 
 
 def _field_witness(
@@ -429,7 +430,6 @@ def _field_witness(
     sigma: RingEndomorphism,
     tau: RingEndomorphism,
     allowed: list[int] | None,
-    cancel: CancelToken | None,
 ) -> GroupRingElement | None:
     """Solve the witness system over a field, ``alpha`` zero outside ``allowed``.
 
@@ -441,7 +441,6 @@ def _field_witness(
         position = {h: pos for pos, h in enumerate(allowed)}
     system = LinearSystem(group.order if allowed is None else len(allowed), ring, augmented=True)
     for i, k, row in _witness_rows(sigma, tau):
-        check_cancel(cancel)
         if allowed is not None:
             row = {position[h]: v for h, v in row.items() if h in position}
         system.add_row(row, delta.images[i].coeffs[k])
@@ -458,7 +457,7 @@ def _field_witness(
     return GroupRingElement(group, ring, solution, _normalized=True)
 
 
-def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> GroupRingElement | None:
+def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> GroupRingElement | None:
     """Integer witness for innerness over Z, decided by Smith normal form.
 
     The matrix is the generator rows of :func:`_witness_rows`, made dense:
@@ -476,13 +475,13 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     for i, k, row in _witness_rows(sigma, tau):
         rows.append([row.get(h, 0) for h in range(n)])
         rhs.append(delta.images[i].coeffs[k])
-    solution = integer_solve(ExactMatrix(ZZ, rows, _validated=True), rhs, cancel=cancel)
+    solution = integer_solve(ExactMatrix(ZZ, rows, _validated=True), rhs)
     if solution is None:
         return None
     return GroupRingElement(group, ZZ, solution, _normalized=True)
 
 
-def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> bool:
+def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> bool:
     """Per-coefficient divisibility test for innerness over Z.
 
     It reads every row, not only the generator rows the witness solvers
@@ -501,7 +500,7 @@ def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
     for i in range(n):
-        check_cancel(cancel)
+        check_cancel()
         c_coeffs = tau.images[i].coeffs
         b_coeffs = sigma.images[i].coeffs
         m_coeffs = delta.images[i].coeffs
@@ -524,7 +523,7 @@ def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     return True
 
 
-def extend_scalars(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, *, cancel: CancelToken | None = None) -> DerivationMap:
+def extend_scalars(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
     """Reinterpret a Z-linear derivation over Q (same basis images).
 
     Requires sigma and tau to fix the center of ZG pointwise; scalar
@@ -547,8 +546,6 @@ def zc2_congruence_check(
     tau: RingEndomorphism,
     u: GroupRingElement,
     alpha: GroupRingElement,
-    *,
-    cancel: CancelToken | None = None,
 ) -> bool:
     """Check ``d(g) = alpha (u tau(g) u^-1 - sigma(g))  mod [QG, QG]`` basiswise.
 
@@ -567,7 +564,7 @@ def zc2_congruence_check(
             raise NotAWitness(f"alpha is not an inner witness (fails at basis {i})")
     span = commutator_span_system(group, ring)
     for i in range(1, n):
-        check_cancel(cancel)
+        check_cancel()
         twisted = u * tau.images[i] * u_inv - sigma.images[i]
         defect = delta.images[i] - alpha * twisted
         if not span.contains(defect.coeffs):

@@ -333,49 +333,31 @@ def endo_from_images(images) -> RingEndomorphism:
     return RingEndomorphism(group, ring, images)
 
 
-def _trivial_unit_inverse(u: GroupRingElement) -> GroupRingElement | None:
-    """Inverse of +-g over Z, or None if u is not of that shape."""
-    if len(u.support) != 1:
-        return None
-    idx = u.support[0]
-    c = u.coeffs[idx]
-    if c not in (1, -1):
-        return None
-    inv_idx = u.group.inverse(idx)
-    return GroupRingElement.from_dict(u.group, u.ring, {inv_idx: c})
-
-
 def conjugation_endo(u: GroupRingElement) -> RingEndomorphism:
     """Conjugation ``g -> u^{-1} g u`` by a unit of RG.
 
-    Over a field the inverse is computed by the linear solver. Over Z only
-    trivial units ``+-g`` are recognized directly, with a fallback accepting
-    any element whose rational inverse happens to be integral.
+    A trivial unit ``+-g`` gives the group map ``h -> g^{-1} h g`` with no
+    inverse computed. Otherwise the inverse comes from the linear solver:
+    over a field directly, over Z as a rational inverse that must be
+    integral.
     """
     group, ring = u.group, u.ring
+    if len(u.support) == 1 and u.coeffs[u.support[0]] in (1, -1):
+        g = u.support[0]
+        group_map = [group.conjugate(g, i) for i in range(group.order)]
+        images = [GroupRingElement.basis(group, ring, x) for x in group_map]
+        return RingEndomorphism(group, ring, images, group_map=group_map, _validated=True)
     if ring.is_field:
         u_inv = invert(u)
         if u_inv is None:
             raise NotAUnit("element is not invertible")
-    elif ring == ZZ:
-        u_inv = _trivial_unit_inverse(u)
-        if u_inv is None:
-            rational_inverse = invert(u.to_ring(QQ))
-            if rational_inverse is None or any(
-                v.denominator != 1 for v in rational_inverse.coeffs
-            ):
-                raise NotAUnit("element is not a unit of ZG")
-            u_inv = rational_inverse.to_ring(ZZ)
     else:
-        raise NotAUnit(f"unsupported ring {ring} for conjugation")
-    group_map = None
-    if len(u.support) == 1 and u.coeffs[u.support[0]] in (1, -1):
-        g = u.support[0]
-        group_map = [group.conjugate(g, i) for i in range(group.order)]
-        images = [GroupRingElement.basis(group, ring, group_map[i]) for i in range(group.order)]
-    else:
-        images = [u_inv * GroupRingElement.basis(group, ring, i) * u for i in range(group.order)]
-    return RingEndomorphism(group, ring, images, group_map=group_map, _validated=True)
+        rational_inverse = invert(u.to_ring(QQ))
+        if rational_inverse is None or any(v.denominator != 1 for v in rational_inverse.coeffs):
+            raise NotAUnit("element is not a unit of ZG")
+        u_inv = rational_inverse.to_ring(ZZ)
+    images = [u_inv * GroupRingElement.basis(group, ring, i) * u for i in range(group.order)]
+    return RingEndomorphism(group, ring, images, _validated=True)
 
 
 def is_central_endo(phi: RingEndomorphism) -> bool:

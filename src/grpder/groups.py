@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NotAGroup, OrderCapExceeded, UnknownGroupName
-from .util import CancelToken, check_cancel
+from .util import check_cancel
 
 DEFAULT_MAX_ORDER = 4096
 _ENV_MAX_ORDER = "GRPDER_MAX_ORDER"
@@ -67,7 +67,7 @@ class FiniteGroup:
 
     # -- axioms ---------------------------------------------------------
 
-    def validate(self, cancel: CancelToken | None = None) -> None:
+    def validate(self) -> None:
         """Re-assert all four group axioms on the stored table.
 
         Associativity is checked by Light's test: ``(x s) y = x (s y)`` for
@@ -105,7 +105,7 @@ class FiniteGroup:
         for j in self.generators():
             row_j = table[j]
             for i in range(n):
-                check_cancel(cancel)
+                check_cancel()
                 row_i = table[i]
                 row_ij = table[row_i[j]]
                 for k in range(n):
@@ -224,7 +224,7 @@ class Subset:
         return len(self.members)
 
 
-def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
+def make_from_table(table, labels=None) -> FiniteGroup:
     """Validate a Cayley table eagerly and wrap it as a FiniteGroup.
 
     This is the boundary for tables from outside the program: every row
@@ -245,7 +245,7 @@ def make_from_table(table, labels=None, name: str | None = None) -> FiniteGroup:
         or len(set(labels)) != len(labels)
     ):
         raise ValueError("labels must be a list of distinct strings")
-    return FiniteGroup(rows, labels=labels, name=name)
+    return FiniteGroup(rows, labels=labels)
 
 
 def _cyclic(n: int) -> FiniteGroup:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import NotAField
 from .rings import ZZ, Ring, Scalar, require_same_ring
-from .util import CancelToken, check_cancel
+from .util import check_cancel
 
 
 class ExactMatrix:
@@ -134,7 +134,6 @@ class LinearSystem:
         row = self._prepare(coeffs, rhs)
         if row is None:
             return
-        self._rref_cache = None
         if self._p:
             self._insert_mod(row)
         else:
@@ -219,7 +218,11 @@ class LinearSystem:
             row = merged
 
     def _rref(self) -> dict[int, dict[int, Scalar]]:
-        """Canonical reduced rows keyed by pivot column, leading entry 1."""
+        """Canonical reduced rows keyed by pivot column, leading entry 1.
+
+        Pivot rows never change once inserted, so the cache is current
+        while the pivot count is.
+        """
         if self._rref_cache is not None and self._rref_cache[0] == len(self._pivots):
             return self._rref_cache[1]
         p = self._p
@@ -366,7 +369,7 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def smith_normal_form(matrix: ExactMatrix, *, cancel: CancelToken | None = None) -> SNFDecomposition:
+def smith_normal_form(matrix: ExactMatrix) -> SNFDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The diagonal is nonnegative with each entry dividing the next; signs are
@@ -422,7 +425,7 @@ def smith_normal_form(matrix: ExactMatrix, *, cancel: CancelToken | None = None)
     t = 0
     limit = min(m, n)
     while t < limit:
-        check_cancel(cancel)
+        check_cancel()
         pivot = find_min_pivot(t)
         if pivot is None:
             break
@@ -476,7 +479,7 @@ def smith_normal_form(matrix: ExactMatrix, *, cancel: CancelToken | None = None)
     )
 
 
-def integer_solve(matrix: ExactMatrix, rhs, *, cancel: CancelToken | None = None) -> list[int] | None:
+def integer_solve(matrix: ExactMatrix, rhs) -> list[int] | None:
     """Integer solution of ``A x = b`` via Smith normal form, or None.
 
     With ``U A V = S`` the system becomes ``S y = U b``; each coordinate is
@@ -486,7 +489,7 @@ def integer_solve(matrix: ExactMatrix, rhs, *, cancel: CancelToken | None = None
     require_same_ring(matrix.ring, ZZ)
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    snf = smith_normal_form(matrix, cancel=cancel)
+    snf = smith_normal_form(matrix)
     c = snf.U.mul_vec(rhs)
     m, n = matrix.rows, matrix.cols
     y = [0] * n

@@ -32,14 +32,14 @@ def group_to_json(group: FiniteGroup) -> dict:
     return data
 
 
-def group_from_json(data: dict, name: str | None = None) -> FiniteGroup:
+def group_from_json(data: dict) -> FiniteGroup:
     if "table" not in data:
         raise ValueError("group JSON must contain a 'table'")
     table = data["table"]
     order = data.get("order")
     if order is not None and (type(order) is not int or order != len(table)):
         raise ValueError("declared order must be an integer equal to the table size")
-    return make_from_table(table, labels=data.get("labels"), name=name)
+    return make_from_table(table, labels=data.get("labels"))
 
 
 def ring_to_json_fields(ring: Ring) -> dict:

@@ -46,7 +46,7 @@ from .groups import center, standard_group
 from .linalg import ExactMatrix, LinearSystem, determinant, integer_solve, smith_normal_form, solve
 from .rings import GF, QQ, ZZ
 from .serialization import derivation_to_json, endo_to_json, group_to_json
-from .util import DEFAULT_SEED, CancelToken, check_cancel
+from .util import DEFAULT_SEED, check_cancel
 
 H1_GROUPS = ("C2", "C3", "C4", "C2xC2", "C6", "S3", "D4", "Q8", "A4")
 
@@ -145,7 +145,7 @@ def _conj_by_index(group, ring, g: int) -> RingEndomorphism:
 # -- criterion 1: h1 vanishes for central pairs over Q ----------------------
 
 
-def criterion_h1_vanishing(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_h1_vanishing(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed)
     cases = []
     for name in H1_GROUPS:
@@ -161,11 +161,11 @@ def criterion_h1_vanishing(seed: int = DEFAULT_SEED, *, cancel: CancelToken | No
         for _ in range(3):
             pairs.append((rng.choice(pool), rng.choice(pool)))
         for (sig_name, sigma), (tau_name, tau) in pairs:
-            check_cancel(cancel)
+            check_cancel()
             central = is_central_endo(sigma) and is_central_endo(tau)
             # The Leibniz solver, not the dispatcher: its fast path sets h1 = 0
             # by the very theorem this criterion checks.
-            h1 = leibniz_space(sigma, tau, cancel=cancel).h1_dimension
+            h1 = leibniz_space(sigma, tau).h1_dimension
             cases.append(
                 _case(
                     f"1.h1-zero:{name}:{sig_name}|{tau_name}",
@@ -182,7 +182,7 @@ def criterion_h1_vanishing(seed: int = DEFAULT_SEED, *, cancel: CancelToken | No
 # -- criterion 2: characteristic dividing the order matters ------------------
 
 
-def criterion_prime_characteristic(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_prime_characteristic(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     c2 = standard_group("C2")
     s3 = standard_group("S3")
     h1_c2 = leibniz_space(identity_endo(c2, GF(2)), identity_endo(c2, GF(2))).h1_dimension
@@ -198,7 +198,7 @@ def criterion_prime_characteristic(seed: int = DEFAULT_SEED, *, cancel: CancelTo
 IDENTITY_INSTANCES = 100
 
 
-def criterion_derivation_identities(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_derivation_identities(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 3)
     cases = []
     for name in H1_GROUPS:
@@ -228,7 +228,7 @@ def criterion_derivation_identities(seed: int = DEFAULT_SEED, *, cancel: CancelT
             "central-group-elements-killed": 0,
         }
         for inst in range(IDENTITY_INSTANCES):
-            check_cancel(cancel)
+            check_cancel()
             sigma, tau, centralizer, span, space = cache[inst % len(cache)]
             x = _random_element(group, QQ, rng)
             y = _random_element(group, QQ, rng)
@@ -347,7 +347,7 @@ def _integral_scaled_basis_derivation(group, sigma_z, tau_z, rng, cache):
     return derivation_from_images(images, sigma_z, tau_z)
 
 
-def criterion_integral_cross_oracle(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_integral_cross_oracle(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 4)
     agreements = {name: [0, 0] for name in CROSS_ORACLE_GROUPS}  # [agree, total]
     inner_seen = 0
@@ -357,7 +357,7 @@ def criterion_integral_cross_oracle(seed: int = DEFAULT_SEED, *, cancel: CancelT
     pools = {name: _central_pool_z(groups[name], rng) for name in CROSS_ORACLE_GROUPS}
     space_cache = {}
     for idx in range(CROSS_ORACLE_INSTANCES):
-        check_cancel(cancel)
+        check_cancel()
         name = CROSS_ORACLE_GROUPS[idx % len(CROSS_ORACLE_GROUPS)]
         group = groups[name]
         pool = pools[name]
@@ -444,7 +444,7 @@ def _leibniz_on_random_elements(delta, rng, samples=3) -> bool:
     return True
 
 
-def criterion_scalar_extension(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_scalar_extension(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 5)
     space_cache = {}
     groups = {name: standard_group(name) for name in CROSS_ORACLE_GROUPS}
@@ -453,7 +453,7 @@ def criterion_scalar_extension(seed: int = DEFAULT_SEED, *, cancel: CancelToken 
     ok_restrict = 0
     ok_witness = 0
     for idx in range(EXTENSION_INSTANCES):
-        check_cancel(cancel)
+        check_cancel()
         name = CROSS_ORACLE_GROUPS[idx % len(CROSS_ORACLE_GROUPS)]
         group = groups[name]
         pool = pools[name]
@@ -496,7 +496,7 @@ def _sign_twist(group, ring) -> RingEndomorphism:
     return endo_from_images(images)
 
 
-def criterion_commutative_closed_form(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_commutative_closed_form(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     cases = []
     for name in ("C2", "C4"):
         group = standard_group(name)
@@ -519,7 +519,7 @@ def criterion_commutative_closed_form(seed: int = DEFAULT_SEED, *, cancel: Cance
         good = sum(
             1
             for delta in space.basis
-            if commutative_derivation_form(sigma, tau, b, delta, cancel=cancel)
+            if commutative_derivation_form(sigma, tau, b, delta)
         )
         cases.append(
             _case(
@@ -537,17 +537,17 @@ def criterion_commutative_closed_form(seed: int = DEFAULT_SEED, *, cancel: Cance
 # -- criterion 7: product-tower truncations -----------------------------------
 
 
-def criterion_truncation_tower(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_truncation_tower(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     base = standard_group("Q8")
     i_index = 2
     conj_map = [base.conjugate(i_index, h) for h in range(base.order)]
     cases = []
     for level in (1, 2, 3):
-        check_cancel(cancel)
-        bundle = build_truncation(base, conj_map, level, cancel=cancel)
+        check_cancel()
+        bundle = build_truncation(base, conj_map, level)
         # build_truncation trusts its construction; check the Leibniz rule
         # and that delta equals the sum of the per-factor inner maps.
-        valid = is_derivation(bundle.delta, bundle.sigma, bundle.tau, cancel=cancel)
+        valid = is_derivation(bundle.delta, bundle.sigma, bundle.tau)
         parts = [
             inner_derivation(w, bundle.sigma, bundle.tau) for w in bundle.witnesses
         ]
@@ -566,7 +566,7 @@ def criterion_truncation_tower(seed: int = DEFAULT_SEED, *, cancel: CancelToken 
                 f"{'factor-sum' if decomposes else 'factor-sum-failed'}",
             )
         )
-        witness = inner_witness(bundle.delta, bundle.sigma, bundle.tau, cancel=cancel)
+        witness = inner_witness(bundle.delta, bundle.sigma, bundle.tau)
         reproduced = witness is not None and inner_derivation(witness, bundle.sigma, bundle.tau) == bundle.delta
         cases.append(
             _case(
@@ -580,9 +580,7 @@ def criterion_truncation_tower(seed: int = DEFAULT_SEED, *, cancel: CancelToken 
         )
         if level >= 2:
             support = bundle.embedded_indices(level - 1)
-            restricted = inner_witness_with_support(
-                bundle.delta, bundle.sigma, bundle.tau, support, cancel=cancel
-            )
+            restricted = inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support)
             cases.append(
                 _case(
                     f"7.restricted-support:Q8^{level}",
@@ -601,14 +599,14 @@ def criterion_truncation_tower(seed: int = DEFAULT_SEED, *, cancel: CancelToken 
 LINALG_INSTANCES = 500
 
 
-def criterion_linalg_self_checks(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_linalg_self_checks(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 8)
     ok_reconstruct = 0
     ok_chain = 0
     ok_unimodular = 0
     ok_solve = 0
     for _ in range(LINALG_INSTANCES):
-        check_cancel(cancel)
+        check_cancel()
         m = rng.randint(1, 12)
         n = rng.randint(1, 12)
         density = rng.choice((0.3, 0.6, 1.0))
@@ -669,7 +667,7 @@ def criterion_linalg_self_checks(seed: int = DEFAULT_SEED, *, cancel: CancelToke
 # -- criterion 9: commutator congruence checks ---------------------------------
 
 
-def criterion_congruence(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> list[VerificationCase]:
+def criterion_congruence(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 9)
     cases = []
     for name in ("S3", "Q8"):
@@ -678,13 +676,13 @@ def criterion_congruence(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None
         one = GroupRingElement.one(group, QQ)
         alpha = _random_element(group, QQ, rng)
         delta = inner_derivation(alpha, ident, ident)
-        ok_a = zc2_congruence_check(delta, ident, ident, one, alpha, cancel=cancel)
+        ok_a = zc2_congruence_check(delta, ident, ident, one, alpha)
         cases.append(
             _case(f"9.inner-vs-commutators:{name}", name, "Q", "sigma=tau=id u=1", "True", str(ok_a))
         )
         zero = GroupRingElement.zero(group, QQ)
         delta0 = inner_derivation(zero, ident, ident)
-        ok_b = zc2_congruence_check(delta0, ident, ident, one, zero, cancel=cancel)
+        ok_b = zc2_congruence_check(delta0, ident, ident, one, zero)
         cases.append(
             _case(f"9.zero-map:{name}", name, "Q", "delta=0 alpha=0 u=1", "True", str(ok_b))
         )
@@ -692,7 +690,7 @@ def criterion_congruence(seed: int = DEFAULT_SEED, *, cancel: CancelToken | None
         conj = _conj_by_index(group, QQ, g)
         alpha2 = _random_element(group, QQ, rng)
         delta2 = inner_derivation(alpha2, conj, conj)
-        ok_c = zc2_congruence_check(delta2, conj, conj, one, alpha2, cancel=cancel)
+        ok_c = zc2_congruence_check(delta2, conj, conj, one, alpha2)
         cases.append(
             _case(
                 f"9.matched-conjugations:{name}",
@@ -719,7 +717,7 @@ CRITERIA = {
 }
 
 
-def run_criteria(ids=None, seed: int = DEFAULT_SEED, *, cancel: CancelToken | None = None) -> VerificationReport:
+def run_criteria(ids=None, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run the requested criteria (all by default) into one report."""
     if ids is None:
         ids = list(CRITERIA)
@@ -728,5 +726,5 @@ def run_criteria(ids=None, seed: int = DEFAULT_SEED, *, cancel: CancelToken | No
         if cid not in CRITERIA:
             raise ValueError(f"unknown criterion id {cid!r}; known: {', '.join(CRITERIA)}")
         _, fn = CRITERIA[cid]
-        report.cases.extend(fn(seed, cancel=cancel))
+        report.cases.extend(fn(seed))
     return report

@@ -1,0 +1,321 @@
+"""Cancellation by scope: ``with token:`` reaches every checkpoint of the work inside.
+
+Each solver case runs once under a counting token to learn its checkpoint
+count N, then once per k in 1..N under a token that sets itself at its k-th
+check: every run must raise Cancelled right there.
+"""
+
+import importlib
+import inspect
+import threading
+
+import pytest
+
+from grpder import (
+    CancelToken,
+    Cancelled,
+    GroupRingElement,
+    build_truncation,
+    conjugation_endo,
+    derivation_from_images,
+    derivation_space,
+    gcd_criterion,
+    identity_endo,
+    inner_derivation,
+    inner_space,
+    inner_witness,
+    inner_witness_integer,
+    inner_witness_with_support,
+    leibniz_space,
+    make_from_table,
+    standard_group,
+    twisted_centralizer,
+)
+from grpder.rings import GF, QQ, ZZ
+from grpder.util import check_cancel
+
+
+class TripToken(CancelToken):
+    """Counts its checks and sets itself at check number ``trip`` (never if None)."""
+
+    __slots__ = ("checks", "trip")
+
+    def __init__(self, trip=None):
+        super().__init__()
+        self.checks = 0
+        self.trip = trip
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.trip:
+            self.cancel()
+        super().check()
+
+
+S3 = standard_group("S3")
+S3_TABLE = [list(row) for row in S3.table]
+
+
+def _pair(ring):
+    return conjugation_endo(GroupRingElement.basis(S3, ring, 1)), identity_endo(S3, ring)
+
+
+def _inner_delta(ring):
+    sigma, tau = _pair(ring)
+    x = GroupRingElement(S3, ring, [1, 0, 2, 0, -1, 3])
+    return inner_derivation(x, sigma, tau), sigma, tau
+
+
+def _derivation_space_fast():
+    return derivation_space(*_pair(QQ))
+
+
+def _derivation_space_leibniz():
+    return derivation_space(*_pair(GF(3)))
+
+
+def _leibniz_space():
+    return leibniz_space(*_pair(QQ))
+
+
+def _inner_space():
+    return inner_space(*_pair(GF(5)))
+
+
+def _twisted_centralizer():
+    return twisted_centralizer(*_pair(QQ))
+
+
+def _inner_witness():
+    return inner_witness(*_inner_delta(QQ))
+
+
+def _inner_witness_integer():
+    return inner_witness_integer(*_inner_delta(ZZ))
+
+
+def _gcd_criterion():
+    return gcd_criterion(*_inner_delta(ZZ))
+
+
+def _derivation_from_images():
+    delta, sigma, tau = _inner_delta(QQ)
+    return derivation_from_images(list(delta.images), sigma, tau)
+
+
+def _build_truncation(level=3):
+    conj = [S3.conjugate(1, h) for h in range(S3.order)]
+    return build_truncation(S3, conj, level)
+
+
+def _inner_witness_with_support():
+    bundle = _build_truncation(2)
+    support = bundle.embedded_indices(1)
+    return inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support)
+
+
+def _make_from_table():
+    return make_from_table(S3_TABLE)
+
+
+CASES = {
+    "derivation_space-fast-path": _derivation_space_fast,
+    "derivation_space-leibniz-path": _derivation_space_leibniz,
+    "leibniz_space": _leibniz_space,
+    "inner_space": _inner_space,
+    "twisted_centralizer": _twisted_centralizer,
+    "inner_witness": _inner_witness,
+    "inner_witness_integer": _inner_witness_integer,
+    "gcd_criterion": _gcd_criterion,
+    "derivation_from_images": _derivation_from_images,
+    "build_truncation": _build_truncation,
+    "inner_witness_with_support": _inner_witness_with_support,
+    "make_from_table": _make_from_table,
+}
+
+
+def _checkpoints(call):
+    """The number of checks ``call`` makes under one scope, and its result."""
+    token = TripToken()
+    with token:
+        result = call()
+    return token.checks, result
+
+
+@pytest.mark.parametrize("call", list(CASES.values()), ids=list(CASES))
+def test_every_checkpoint_cancels(call):
+    expected = call()
+    count, result = _checkpoints(call)
+    assert count > 0
+    assert result == expected
+    for k in range(1, count + 1):
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            call()
+        assert token.checks == k
+
+
+def test_request_paths_check_once_per_row():
+    n = S3.order
+    gens = len(S3.generators())
+    # One check per row of the twisted matrix, as before the scope form.
+    assert _checkpoints(_derivation_space_fast)[0] == (n - 1) * n
+    assert _checkpoints(_inner_witness)[0] == gens * n
+    # The inner-space phase of leibniz_space is covered after the Leibniz rows.
+    assert _checkpoints(_leibniz_space)[0] == gens * (n - 1) + _checkpoints(_inner_space)[0]
+
+
+def test_inner_witness_integer_checks_its_matrix_assembly():
+    count, _ = _checkpoints(_inner_witness_integer)
+    assert count > len(S3.generators()) * S3.order
+
+
+def test_a_set_token_acts_only_inside_its_scope():
+    token = CancelToken()
+    token.cancel()
+    check_cancel()
+    expected = _inner_space()
+    with pytest.raises(Cancelled), token:
+        check_cancel()
+    assert _inner_space() == expected
+
+
+@pytest.mark.parametrize("set_index", [0, 1], ids=["outer-set", "inner-set"])
+def test_either_token_of_nested_scopes_stops_work(set_index):
+    tokens = [CancelToken(), CancelToken()]
+    tokens[set_index].cancel()
+    outer, inner = tokens
+    with pytest.raises(Cancelled), outer, inner:
+        _inner_space()
+
+
+def test_scope_is_restored_when_a_block_exits_on_an_exception():
+    outer, inner = CancelToken(), CancelToken()
+    inner.cancel()
+    with outer:
+        with pytest.raises(Cancelled), inner:
+            _inner_space()
+        _inner_space()  # inner no longer applies
+        outer.cancel()
+        with pytest.raises(Cancelled):
+            _inner_space()  # outer still applies
+    _inner_space()  # neither applies
+
+
+def test_same_token_nested_twice():
+    token = CancelToken()
+    with token:
+        with token:
+            _twisted_centralizer()
+        token.cancel()
+        with pytest.raises(Cancelled):
+            _twisted_centralizer()
+    _twisted_centralizer()
+
+
+def _capture(call):
+    """The result of ``call``, or the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 (handed back to the test)
+        return exc
+
+
+def _in_thread(call):
+    """Run ``call`` in a new thread; return its result or the exception it raised."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_capture(call)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_scope_does_not_reach_another_thread():
+    token = CancelToken()
+    token.cancel()
+    expected = _derivation_space_fast()
+    with token:
+        assert _in_thread(_derivation_space_fast) == expected
+        with pytest.raises(Cancelled):
+            _derivation_space_fast()
+
+
+def test_set_token_entered_in_one_thread_does_not_stop_another():
+    token = CancelToken()
+    token.cancel()
+    expected = _twisted_centralizer()
+    entered, done = threading.Event(), threading.Event()
+
+    def scoped():
+        with token:
+            entered.set()
+            assert done.wait(timeout=60)
+            return _twisted_centralizer()
+
+    worker = threading.Thread(target=lambda: out.append(_capture(scoped)))
+    out = []
+    worker.start()
+    assert entered.wait(timeout=60)
+    assert _twisted_centralizer() == expected  # while the other thread is in scope
+    done.set()
+    worker.join(timeout=60)
+    assert isinstance(out[0], Cancelled)
+
+
+def test_same_token_entered_from_two_threads_at_once():
+    token = CancelToken()
+    barrier = threading.Barrier(3, timeout=60)
+    outcomes = []
+    lock = threading.Lock()
+
+    def worker():
+        record = []
+        with token:
+            barrier.wait()  # both threads are inside the scope
+            record.append(_inner_space() is not None)
+            barrier.wait()
+            barrier.wait()  # the token is now set
+            try:
+                _inner_space()
+                record.append("ran")
+            except Cancelled:
+                record.append("cancelled")
+        record.append(_inner_space() is not None)  # scope left
+        with lock:
+            outcomes.append(record)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    barrier.wait()
+    barrier.wait()
+    token.cancel()
+    barrier.wait()
+    for t in threads:
+        t.join(timeout=60)
+    assert outcomes == [[True, "cancelled", True]] * 2
+
+
+def _public_callables():
+    for module_name in ("util", "groups", "group_ring", "linalg", "derivations",
+                        "constructions", "verification", "serialization", "cli"):
+        module = importlib.import_module(f"grpder.{module_name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module_name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{module_name}.{name}.{attr}", member
+
+
+def test_no_callable_takes_a_cancel_parameter():
+    offenders = [
+        name for name, fn in _public_callables()
+        if "cancel" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
+    assert list(inspect.signature(check_cancel).parameters) == []

@@ -401,7 +401,7 @@ def test_verify_paper_unknown_criterion_exits_two(capsys):
 def test_verify_paper_failure_exits_one(capsys, monkeypatch):
     import grpder.verification as verification
 
-    def failing(seed, *, cancel=None):
+    def failing(seed):
         return [
             verification.VerificationCase(
                 claim="2.synthetic", group="-", ring="-", params="-",

@@ -23,6 +23,7 @@ from grpder import (
     is_central_endo,
     standard_group,
 )
+from grpder import group_ring
 from grpder.group_ring import commutator_span_system, linear_extension
 from grpder.rings import GF, QQ, ZZ
 from test_groups import brute_classes, brute_commutator_system
@@ -209,6 +210,41 @@ def test_conjugation_over_z_trivial_units(q8):
     assert phi == psi
     with pytest.raises(NotAUnit):
         conjugation_endo(GroupRingElement(q8, ZZ, [1, 1, 0, 0, 0, 0, 0, 0]))
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """Arguments of the calls ``group_ring`` makes to ``invert``."""
+    calls = []
+
+    def spy(u):
+        calls.append(u)
+        return invert(u)
+
+    monkeypatch.setattr(group_ring, "invert", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ring, sign",
+    [(ZZ, 1), (ZZ, -1), (QQ, 1), (QQ, -1), (GF(5), 1)],
+    ids=["Z+g", "Z-g", "Q+g", "Q-g", "F5+g"],
+)
+def test_conjugation_by_trivial_unit_computes_no_inverse(invert_calls, q8, ring, sign):
+    for g in range(q8.order):
+        phi = conjugation_endo(GroupRingElement.from_dict(q8, ring, {g: sign}))
+        expected = endo_from_group_map(q8, ring, [q8.conjugate(g, h) for h in range(q8.order)])
+        assert phi.images == expected.images
+        assert phi.group_map == expected.group_map
+    assert invert_calls == []
+
+
+def test_conjugation_by_minus_g_over_fp_keeps_the_solver_branch(invert_calls, q8):
+    # -g over F5 has coefficient 4, outside the (1, -1) test, so it is conjugated
+    # through its inverse and carries no group map; its images are still g's.
+    phi = conjugation_endo(GroupRingElement.from_dict(q8, GF(5), {2: -1}))
+    assert len(invert_calls) == 1 and phi.group_map is None
+    assert phi.images == conjugation_endo(GroupRingElement.basis(q8, GF(5), 2)).images
 
 
 def test_conjugation_not_a_unit(c2):

@@ -228,3 +228,27 @@ def test_prepare_over_q_matches_reference(coeffs, rhs, augmented):
     system = LinearSystem(12, QQ, augmented=augmented)
     aug = 12 if augmented else None
     assert system._prepare(coeffs, rhs) == _prepare_reference(coeffs, rhs, aug)
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_dependent_row_keeps_the_cached_reduced_rows(ring, augmented):
+    rows = [({0: 1, 1: 2, 3: -1}, 3), ({1: 1, 2: 1}, 2)]
+    total = ({0: 1, 1: 3, 2: 1, 3: -1}, 5)  # the sum of the two rows
+
+    def build():
+        system = LinearSystem(4, ring, augmented=augmented)
+        for coeffs, rhs in rows:
+            system.add_row(coeffs, rhs)
+        return system
+
+    system, reference = build(), build()
+    cached = system._rref()
+    system.add_row(*total)  # reduces to zero against the pivot rows
+    assert system.rank == 2 and system.consistent
+    assert system._rref_cache[1] is cached
+    if augmented:
+        assert system.particular_solution() == reference.particular_solution()
+    else:
+        assert system.kernel_basis() == reference.kernel_basis()
+        assert system.span_basis() == reference.span_basis()
