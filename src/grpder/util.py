@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from contextvars import ContextVar
 
 from .errors import Cancelled
@@ -53,3 +55,72 @@ def check_cancel() -> None:
     """Raise :class:`Cancelled` if a token of an enclosing scope is set."""
     for token in _scopes.get():
         token.check()
+
+
+# Bounds of every content-keyed cache in the package: the number of entries,
+# and the table and matrix cells summed over the entries. An entry larger
+# than the cell bound is not stored.
+_CACHE_MAX_ENTRIES = 64
+_CACHE_MAX_CELLS = 1 << 16
+
+_caches: list["_LruCache"] = []
+
+
+class _LruCache:
+    """Thread-safe map evicting its least recently used entries to stay within the bounds.
+
+    Callers store a value only once it is computed, so an error or a
+    cancellation leaves nothing behind.
+    """
+
+    __slots__ = ("_entries", "_cells", "_lock")
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, cells)
+        self._cells = 0
+        self._lock = threading.Lock()
+        _caches.append(self)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def cells(self) -> int:
+        return self._cells
+
+    @staticmethod
+    def fits(cells: int) -> bool:
+        return cells <= _CACHE_MAX_CELLS
+
+    def get(self, key):
+        """The value stored under ``key``, now the most recently used, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, cells: int) -> None:
+        if not self.fits(cells):
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._cells -= old[1]
+            self._entries[key] = (value, cells)
+            self._cells += cells
+            while len(self._entries) > _CACHE_MAX_ENTRIES or self._cells > _CACHE_MAX_CELLS:
+                _key, (_value, evicted) = self._entries.popitem(last=False)
+                self._cells -= evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._cells = 0
+
+
+def _clear_caches() -> None:
+    """Empty every cache, so that the next call does its work from scratch."""
+    for cache in _caches:
+        cache.clear()

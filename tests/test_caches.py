@@ -1,0 +1,388 @@
+"""Content-keyed caches: decoded groups and endomorphisms, and the Smith factors of a pair.
+
+A cache must return what a cold call returns, store only successful
+results, stay within its bounds and be safe to share between threads.
+"""
+
+import copy
+import json
+import math
+import random
+import sys
+import threading
+
+import pytest
+
+from grpder import (
+    AlgebraError,
+    CancelToken,
+    DerivationMap,
+    GroupRingElement,
+    conjugation_endo,
+    derivation_from_images,
+    direct_product,
+    gcd_criterion,
+    identity_endo,
+    inner_derivation,
+    inner_witness_integer,
+    standard_group,
+)
+from grpder import derivations, linalg, serialization
+from grpder.groups import center
+from grpder.linalg import ExactMatrix, integer_solve
+from grpder.rings import GF, QQ, ZZ
+from grpder.serialization import (
+    derivation_images_from_json,
+    derivation_to_json,
+    endo_from_json,
+    endo_to_json,
+    group_from_json,
+    group_to_json,
+)
+from grpder.util import _CACHE_MAX_CELLS, _CACHE_MAX_ENTRIES, _clear_caches, _LruCache
+from grpder.verification import _bicyclic_unit, _conj_by_index, _sign_twist
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _cyclic_doc(n):
+    return {"order": n, "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+
+
+def _replace_first(node, old, new):
+    """``node`` with its first leaf equal to ``old`` (an int, not a bool) replaced by ``new``."""
+    done = False
+
+    def walk(x):
+        nonlocal done
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if not done and type(x) is int and x == old:
+            done = True
+            return new
+        return x
+
+    out = walk(node)
+    assert done
+    return out
+
+
+# -- decoding ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
+def test_a_cached_group_does_not_answer_for_a_lookalike_document(bad):
+    doc = group_to_json(standard_group("S3"))
+    group = group_from_json(doc)
+    assert group_from_json(copy.deepcopy(doc)) is group
+    lookalike = _replace_first(doc, 1, bad)
+    assert lookalike == doc  # equal as Python values
+    with pytest.raises(AlgebraError):
+        group_from_json(lookalike)
+    with pytest.raises(ValueError):
+        group_from_json(dict(doc, order=6.0))
+    assert len(serialization._GROUPS) == 1
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
+def test_a_cached_endomorphism_does_not_answer_for_a_lookalike_document(bad):
+    group = standard_group("Q8")
+    doc = endo_to_json(conjugation_endo(GroupRingElement.basis(group, ZZ, 2)))
+    sigma = endo_from_json(group, doc, ZZ)
+    assert endo_from_json(group, copy.deepcopy(doc), ZZ) is sigma
+    lookalike = _replace_first(doc, 1, bad)
+    assert lookalike == doc
+    with pytest.raises(ValueError):
+        endo_from_json(group, lookalike, ZZ)
+    assert len(serialization._ENDOS) == 1
+
+
+def test_a_cached_modulus_does_not_answer_for_a_float_modulus():
+    group = standard_group("S3")
+    doc = endo_to_json(identity_endo(group, GF(5)))
+    assert endo_from_json(group, doc) is endo_from_json(group, copy.deepcopy(doc))
+    lookalike = copy.deepcopy(doc)
+    lookalike["images"][3]["p"] = 5.0
+    assert lookalike == doc
+    with pytest.raises(ValueError):
+        endo_from_json(group, lookalike)
+
+
+def test_the_expected_ring_and_the_group_object_are_part_of_the_key():
+    doc = endo_to_json(identity_endo(standard_group("S3"), QQ))
+    group = group_from_json(group_to_json(standard_group("S3")))
+    loose = endo_from_json(group, doc)
+    assert endo_from_json(group, doc, QQ) is not loose
+    with pytest.raises(ValueError):
+        endo_from_json(group, doc, GF(5))
+    other = standard_group("S3")
+    assert endo_from_json(other, doc).group is other
+
+
+def test_mutating_a_decoded_document_does_not_change_the_next_decode():
+    doc = _cyclic_doc(6)
+    c6 = group_from_json(doc)
+    s3_table = [list(row) for row in standard_group("S3").table]
+    doc["table"][:] = s3_table
+    s3 = group_from_json(doc)
+    assert s3 is not c6 and s3.table == standard_group("S3").table
+    assert c6.table == standard_group("C6").table
+    doc["table"][1][1] = 1
+    with pytest.raises(AlgebraError):
+        group_from_json(doc)
+    assert group_from_json(_cyclic_doc(6)) is c6
+
+    q8 = standard_group("Q8")
+    endo_doc = endo_to_json(identity_endo(q8, ZZ))
+    ident = endo_from_json(q8, endo_doc, ZZ)
+    conj = conjugation_endo(GroupRingElement.basis(q8, ZZ, 2))
+    endo_doc["images"][:] = endo_to_json(conj)["images"]
+    assert endo_from_json(q8, endo_doc, ZZ) == conj
+    assert ident == identity_endo(q8, ZZ)
+
+
+def test_decoding_many_distinct_groups_stays_within_the_bounds():
+    docs = [_cyclic_doc(n) for n in range(1, 51)]
+    s3 = group_to_json(standard_group("S3"))
+    docs += [dict(s3, labels=[f"{k}:{i}" for i in range(6)]) for k in range(50)]
+    for doc in docs:
+        group = group_from_json(doc)
+        assert group.table == tuple(map(tuple, doc["table"]))
+        assert len(serialization._GROUPS) <= _CACHE_MAX_ENTRIES
+        assert serialization._GROUPS.cells <= _CACHE_MAX_CELLS
+        assert group_from_json(doc) is group  # the latest entry is never the one evicted
+    assert len(serialization._GROUPS) == _CACHE_MAX_ENTRIES
+
+
+def test_a_group_above_the_cell_bound_decodes_but_is_not_cached():
+    n = math.isqrt(_CACHE_MAX_CELLS) + 1
+    doc = _cyclic_doc(n)
+    group = group_from_json(doc)
+    assert group.order == n and group.table[1][n - 1] == 0
+    assert len(serialization._GROUPS) == 0
+    again = group_from_json(doc)
+    assert again is not group and again == group
+
+
+# -- Smith factors ------------------------------------------------------------------
+
+
+def _named(name):
+    if name.endswith("xC2"):
+        return direct_product(standard_group(name[:-3]), standard_group("C2"))
+    return standard_group(name)
+
+
+def _endo(group, kind):
+    if kind == "id":
+        return identity_endo(group, ZZ)
+    if kind == "sign":
+        return _sign_twist(group, ZZ)
+    if kind == "bicyclic":
+        for h in range(1, group.order):
+            for a in range(1, group.order):
+                u = _bicyclic_unit(group, ZZ, h, a)
+                if len(u.support) > 1:
+                    return conjugation_endo(u)
+    z = set(center(group).members)
+    return _conj_by_index(group, ZZ, min(g for g in range(group.order) if g not in z))
+
+
+# The nine (group, sigma, tau) pairs of the inner-z benchmark workload.
+PAIRS = (
+    ("C4", "id", "sign"),
+    ("C6", "id", "sign"),
+    ("C12", "id", "sign"),
+    ("S3", "conj", "conj"),
+    ("D4", "id", "bicyclic"),
+    ("Q8", "conj", "id"),
+    ("A4", "bicyclic", "id"),
+    ("S3xC2", "bicyclic", "conj"),
+    ("Q8xC2", "conj", "conj"),
+)
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    out = []
+    for name, s_kind, t_kind in PAIRS:
+        group = _named(name)
+        out.append((group, _endo(group, s_kind), _endo(group, t_kind), t_kind == "sign"))
+    return out
+
+
+def _delta(rng, group, sigma, tau, z_inner):
+    """An inner derivation, or for a sign twist ``d_{x/2}``: Q-inner, and not Z-inner for odd x."""
+    x = [rng.randint(-3, 3) for _ in range(group.order)]
+    if z_inner:
+        return inner_derivation(GroupRingElement(group, ZZ, x), sigma, tau)
+    x[rng.randrange(group.order)] |= 1
+    half = GroupRingElement(group, QQ, [QQ.coerce(v) / 2 for v in x])
+    rational = inner_derivation(half, sigma.to_ring(QQ), tau.to_ring(QQ))
+    images = [GroupRingElement(group, ZZ, [int(v) for v in img.coeffs]) for img in rational.images]
+    return DerivationMap(group, ZZ, sigma, tau, images)
+
+
+def _fresh_matrix(sigma, tau):
+    """The generator rows of the witness system, assembled by products."""
+    group = sigma.group
+    n = group.order
+    rows = []
+    for s in group.generators():
+        cols = []
+        for h in range(n):
+            g = GroupRingElement.basis(group, ZZ, h)
+            cols.append(g * tau.images[s] - sigma.images[s] * g)
+        rows += [[col.coeffs[k] for col in cols] for k in range(n)]
+    return ExactMatrix(ZZ, rows)
+
+
+def _reference(matrix, delta):
+    group = delta.group
+    rhs = [delta.images[s].coeffs[k] for s in group.generators() for k in range(group.order)]
+    return integer_solve(matrix, rhs)
+
+
+def _coeffs(witness):
+    return None if witness is None else list(witness.coeffs)
+
+
+def test_cached_witnesses_equal_the_uncached_solver_and_the_gcd_oracle(pairs):
+    rng = random.Random(20)
+    matrices = [_fresh_matrix(sigma, tau) for _group, sigma, tau, _sign in pairs]
+    not_inner = 0
+    for _ in range(200):
+        index = rng.randrange(len(pairs))
+        group, sigma, tau, sign = pairs[index]
+        delta = _delta(rng, group, sigma, tau, not sign or rng.random() < 0.5)
+        witness = inner_witness_integer(delta, sigma, tau)
+        assert _coeffs(witness) == _reference(matrices[index], delta)
+        assert gcd_criterion(delta, sigma, tau) == (witness is not None)
+        if witness is None:
+            not_inner += 1
+        else:
+            assert inner_derivation(witness, sigma, tau) == delta
+    assert not_inner > 10
+    assert len(derivations._INTEGER_FACTORS) == len(pairs)
+
+
+def test_pairs_differing_in_one_map_get_their_own_factors():
+    group = standard_group("S3")
+    ident, conj = identity_endo(group, ZZ), _conj_by_index(group, ZZ, 1)
+    rng = random.Random(8)
+    for sigma, tau in ((ident, ident), (ident, conj), (conj, ident), (conj, conj)):
+        delta = _delta(rng, group, sigma, tau, True)
+        witness = inner_witness_integer(delta, sigma, tau)
+        assert _coeffs(witness) == _reference(_fresh_matrix(sigma, tau), delta)
+    assert len(derivations._INTEGER_FACTORS) == 4
+
+
+def test_eviction_drops_the_least_recently_used_entry():
+    cache = _LruCache()
+    for key in range(_CACHE_MAX_ENTRIES):
+        cache.put(key, str(key), 1)
+    assert cache.get(0) == "0"
+    cache.put("new", "new", 1)
+    assert cache.get(1) is None
+    assert cache.get(0) == "0" and cache.get("new") == "new"
+    assert len(cache) == _CACHE_MAX_ENTRIES and cache.cells == _CACHE_MAX_ENTRIES
+    cache.put("big", "big", _CACHE_MAX_CELLS - 1)
+    assert len(cache) == 2 and cache.cells == _CACHE_MAX_CELLS
+    cache.put("too big", "too big", _CACHE_MAX_CELLS + 1)
+    assert cache.get("too big") is None and len(cache) == 2
+
+
+def _spy_snf(monkeypatch):
+    calls = []
+    original = linalg.smith_normal_form
+
+    def spy(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", spy)
+    return calls
+
+
+class CountingToken(CancelToken):
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+        super().check()
+
+
+def _counted(call):
+    """The number of checkpoints ``call`` passes, and its result."""
+    token = CountingToken()
+    with token:
+        result = call()
+    return token.checks, result
+
+
+def test_a_cold_call_factors_once_and_a_repeat_does_no_pair_work(pairs, monkeypatch):
+    calls = _spy_snf(monkeypatch)
+    group, sigma, tau, _sign = pairs[7]
+    delta = _delta(random.Random(3), group, sigma, tau, True)
+    cold_checks, first = _counted(lambda: inner_witness_integer(delta, sigma, tau))
+    assert len(calls) == 1 and cold_checks > 0
+    # Equal content, new objects: the same entry answers.
+    again = derivation_from_images(list(delta.images), _endo(group, "bicyclic"), _endo(group, "conj"))
+    warm_checks, second = _counted(lambda: inner_witness_integer(again, again.sigma, again.tau))
+    assert warm_checks == 0 and len(calls) == 1
+    assert second == first
+
+
+def test_threads_sharing_the_caches_get_the_reference_answers(pairs):
+    rng = random.Random(5)
+    cases = []
+    for group, sigma, tau, sign in (pairs[0], pairs[3], pairs[6], pairs[8]):
+        docs = (group_to_json(group), endo_to_json(sigma), endo_to_json(tau))
+        matrix = _fresh_matrix(sigma, tau)
+        for k in range(3):
+            delta = _delta(rng, group, sigma, tau, not (sign and k % 2))
+            cases.append((docs, derivation_to_json(delta), _reference(matrix, delta)))
+    texts = [json.dumps(case) for case in cases]
+    errors = []
+
+    def work(seed):
+        order = random.Random(seed)
+        try:
+            for step in range(60):
+                (gdoc, sdoc, tdoc), ddoc, expected = json.loads(order.choice(texts))
+                group = group_from_json(gdoc)
+                sigma = endo_from_json(group, sdoc, ZZ)
+                tau = endo_from_json(group, tdoc, ZZ)
+                images = derivation_images_from_json(group, ddoc, ZZ)
+                witness = inner_witness_integer(derivation_from_images(images, sigma, tau), sigma, tau)
+                assert _coeffs(witness) == expected
+                if seed == 0 and step % 15 == 0:
+                    _clear_caches()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for cache in (serialization._GROUPS, serialization._ENDOS, derivations._INTEGER_FACTORS):
+        assert cache.cells == sum(cells for _value, cells in cache._entries.values())

@@ -31,8 +31,10 @@ from grpder import (
     standard_group,
     twisted_centralizer,
 )
+from grpder import derivations
+from grpder.linalg import ExactMatrix, integer_solve, smith_normal_form
 from grpder.rings import GF, QQ, ZZ
-from grpder.util import check_cancel
+from grpder.util import _clear_caches, check_cancel
 
 
 class TripToken(CancelToken):
@@ -91,6 +93,8 @@ def _inner_witness():
 
 
 def _inner_witness_integer():
+    # The Smith factors of a pair are cached; every run counts a cold call.
+    _clear_caches()
     return inner_witness_integer(*_inner_delta(ZZ))
 
 
@@ -168,6 +172,31 @@ def test_request_paths_check_once_per_row():
 def test_inner_witness_integer_checks_its_matrix_assembly():
     count, _ = _checkpoints(_inner_witness_integer)
     assert count > len(S3.generators()) * S3.order
+
+
+def test_a_cancelled_cold_factorization_stores_nothing():
+    delta, sigma, tau = _inner_delta(ZZ)
+    count, _ = _checkpoints(_inner_witness_integer)
+    for k in range(1, count + 1):
+        _clear_caches()
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            inner_witness_integer(delta, sigma, tau)
+        assert len(derivations._INTEGER_FACTORS) == 0
+    rows = [[row.get(h, 0) for h in range(S3.order)] for _i, _k, row in derivations._witness_rows(sigma, tau)]
+    rhs = [delta.images[i].coeffs[k] for i, k, _row in derivations._witness_rows(sigma, tau)]
+    reference = integer_solve(ExactMatrix(ZZ, rows), rhs)
+    assert list(inner_witness_integer(delta, sigma, tau).coeffs) == reference
+    assert len(derivations._INTEGER_FACTORS) == 1
+
+
+def test_smith_normal_form_checks_once_per_reduction_pass():
+    rows = [[row.get(h, 0) for h in range(S3.order)] for _i, _k, row in derivations._witness_rows(*_pair(ZZ))]
+    matrix = ExactMatrix(ZZ, rows)
+    count, snf = _checkpoints(lambda: smith_normal_form(matrix))
+    nonzero = sum(1 for d in snf.diagonal if d)
+    # At least one pass per nonzero diagonal entry, plus one check before each entry.
+    assert count >= 2 * nonzero
 
 
 def test_a_set_token_acts_only_inside_its_scope():
