@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .derivations import (
     DerivationMap,
+    _canonical_witness,
     _check_same_pair,
-    _field_witness,
-    inner_derivation,
+    inner_derivation,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
     is_derivation,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 )
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
 from .group_ring import (
     GroupRingElement,
     RingEndomorphism,
+    _from_sums,
     endo_from_group_map,
     identity_endo,
     invert,
@@ -151,10 +153,13 @@ def build_truncation(
     ``sigma1`` is a class-preserving automorphism of the non-abelian base ``H``
     given as an index map; ``x_choices`` picks one non-central base element
     per factor (default: the least-index non-central element). The derivation
-    is the inner derivation of the sum of the embedded choices, so it is a
-    derivation by construction and is not checked again here; the
-    verification suite checks it with :func:`is_derivation`. The bundle is
-    over ``QQ`` and its order is capped at ``TRUNCATION_MAX_ORDER``.
+    is the inner derivation of the sum ``w`` of the embedded choices, read
+    off the table by index as ``d(g) = sum_f (w_f g - sigma(g) w_f)``
+    (``tau`` is the identity), so it is a derivation by construction and is
+    not checked again here; the verification suite checks it with
+    :func:`is_derivation` and against the products of
+    :func:`inner_derivation`. The bundle is over ``QQ`` and its order is
+    capped at ``TRUNCATION_MAX_ORDER``.
     """
     if base.is_abelian:
         raise AbelianBase("base group must be non-abelian")
@@ -207,10 +212,21 @@ def build_truncation(
     witnesses = tuple(
         GroupRingElement.basis(group, QQ, idx) for idx in witness_indices
     )
-    total = witnesses[0]
-    for w in witnesses[1:]:
-        total = total + w
-    delta = inner_derivation(total, sigma, tau)
+    # tau = id and every w_f is a basis element, so d_w(g) = sum_f (w_f g - sigma(g) w_f):
+    # each coefficient is a count in [-level, level].
+    table = group.table
+    scalars = {v: Fraction(v) for v in range(-level, level + 1)}
+    images = []
+    for g in range(order):
+        row_s = table[sigma_map[g]]
+        counts: dict[int, int] = {}
+        for w in witness_indices:
+            k = table[w][g]
+            counts[k] = counts.get(k, 0) + 1
+            k = row_s[w]
+            counts[k] = counts.get(k, 0) - 1
+        images.append(_from_sums(group, QQ, {k: scalars[v] for k, v in counts.items()}))
+    delta = DerivationMap(group, QQ, sigma, tau, images, _validated=True)
     return TruncationBundle(
         base=base,
         level=level,
@@ -232,10 +248,14 @@ def inner_witness_with_support(
 ) -> GroupRingElement | None:
     """Witness for ``d = d_alpha`` constrained to ``alpha_i = 0`` outside ``support``.
 
-    Solves the same witness system as the unconstrained search with the
-    disallowed coordinates pinned to zero; returns a supported witness or
-    None when the constrained affine system is infeasible.
+    The answer is that of the witness system with the disallowed
+    coordinates pinned to zero: a supported witness, canonical in the same
+    sense as :func:`inner_witness`, or None when the constrained affine
+    system is infeasible. When the characteristic does not divide ``|G|``
+    it is decided by a system with one unknown per twisted-centralizer
+    basis vector, read from the pair's cached elimination; otherwise the
+    pinned system is solved (see :func:`derivations._canonical_witness`).
     """
     _check_same_pair(delta, sigma, tau)
     allowed = sorted(set(int(i) for i in support))
-    return _field_witness(delta, sigma, tau, allowed)
+    return _canonical_witness(delta, sigma, tau, allowed)

@@ -7,7 +7,9 @@ full derivation space is the kernel of the Leibniz system in the unknowns
 inner derivations are the image of ``x -> x tau(.) - sigma(.) x``, and the
 first Hochschild cohomology dimension is their difference. When the
 characteristic does not divide ``|G|`` the two spaces are equal, and the
-derivation space is computed from the inner one alone. Over Z innerness
+derivation space is computed from the inner one alone; witnesses are then
+averages reduced by the kernel of the pair's witness matrix, which is
+eliminated once per pair and cached. Over Z innerness
 is decided two independent ways: an integral witness via Smith normal form,
 and a per-equation gcd divisibility test; the two act as mutual oracles.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     MixedGroups,
@@ -45,6 +49,8 @@ from .util import _LruCache, check_cancel
 
 # Smith factors of the integral witness matrix of a pair, keyed by its content.
 _INTEGER_FACTORS = _LruCache()
+# Kernel of the field witness matrix of a pair, keyed by its content.
+_CENTRALIZERS = _LruCache()
 
 
 class DerivationMap:
@@ -383,34 +389,74 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
         si = sigma.images[i]
         for k in range(n):
             check_cancel()
-            row: dict[int, Scalar] = {}
             row_k = table[k]
-            for s in ti.support:
-                h = row_k[inv[s]]
-                row[h] = row.get(h, 0) + ti.coeffs[s]
+            # Distinct s give distinct h in each loop, so only the second can meet a set entry.
+            row: dict[int, Scalar] = {row_k[inv[s]]: ti.coeffs[s] for s in ti.support}
             for s in si.support:
                 h = table[inv[s]][k]
-                row[h] = row.get(h, 0) - si.coeffs[s]
+                v = si.coeffs[s]
+                row[h] = row[h] - v if h in row else -v
             yield i, k, row
+
+
+def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[int, dict[int, Scalar]], ...]:
+    """Kernel of the generator rows of :func:`_witness_rows` over a field, cached per pair.
+
+    One ``(f, vector)`` per free column ``f`` of the reduced echelon form,
+    ascending: the sparse vector is 1 at ``f``, 0 at the other free columns,
+    and minus the reduced row's entry in column ``f`` at each pivot. The
+    entry is keyed by the pair's content (group table, ring, and the sparse
+    sigma and tau images), so a group rebuilt with the same table hits it;
+    it counts the table's n^2 cells, the image entries and the kernel
+    entries against the cache bound.
+    """
+    group, ring = sigma.group, sigma.ring
+    images = (*sigma.images, *tau.images)
+    values = [img.coeffs[k] for img in images for k in img.support]
+    # Numerators and denominators: ints hash in C, Fractions in Python.
+    key = (
+        group.table,
+        ring,
+        tuple([img.support for img in images]),
+        tuple(map(attrgetter("numerator"), values)),
+        tuple(map(attrgetter("denominator"), values)),
+    )
+    kernel = _CENTRALIZERS.get(key)
+    if kernel is not None:
+        return kernel
+    system = LinearSystem(group.order, ring)
+    for _i, _k, row in _witness_rows(sigma, tau):
+        system.add_row(row)
+    reduced = system.rref_rows()
+    pivots = {c for c, _row in reduced}
+    vectors = {f: {f: ring.one} for f in range(group.order) if f not in pivots}
+    for c, row in reduced:
+        for f, v in row.items():
+            if f != c:
+                vectors[f][c] = ring.normalize(-v)
+    kernel = tuple(vectors.items())
+    cells = group.order**2 + len(values) + sum(len(vec) for _f, vec in kernel)
+    _CENTRALIZERS.put(key, kernel, cells)
+    return kernel
 
 
 def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[GroupRingElement]:
     """Basis of ``{y : y tau(g) = sigma(g) y for all g}`` over a field.
 
     This is exactly the kernel of ``x -> d_x``, so its dimension complements
-    the inner-derivation dimension.
+    the inner-derivation dimension. The basis is the canonical kernel basis
+    of the pair's cached elimination (see :func:`_centralizer`), one vector
+    per free column, ascending.
     """
     _check_endo_pair(sigma, tau)
-    ring = sigma.ring
-    group = sigma.group
-    system = LinearSystem(group.order, ring)
-    for _i, _k, row in _witness_rows(sigma, tau):
-        if row:
-            system.add_row(row)
-    return [
-        GroupRingElement(group, ring, vec, _normalized=True)
-        for vec in system.kernel_basis()
-    ]
+    group, ring = sigma.group, sigma.ring
+    basis = []
+    for _f, vector in _centralizer(sigma, tau):
+        vec = [ring.zero] * group.order
+        for c, v in vector.items():
+            vec[c] = v
+        basis.append(GroupRingElement(group, ring, vec, _normalized=True))
+    return basis
 
 
 def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:
@@ -427,10 +473,16 @@ def inner_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
     """Some ``alpha`` with ``d = d_alpha`` over a field, or None.
 
     The returned representative is canonical: free coordinates of the witness
-    system are set to zero under the reduced-echelon pivot order.
+    system are set to zero under the reduced-echelon pivot order. When the
+    characteristic does not divide ``|G|`` every derivation is inner, and
+    this witness is the average ``|G|^-1 sum_g d(g) tau(g^-1)`` minus its
+    free coordinates times the pair's cached kernel vectors
+    (:func:`_averaged_witness`), with no solve for ``delta``. Otherwise it
+    is the solution of :func:`_field_witness`, which stays the reference
+    (see :func:`_canonical_witness`).
     """
     _check_same_pair(delta, sigma, tau)
-    return _field_witness(delta, sigma, tau, None)
+    return _canonical_witness(delta, sigma, tau, None)
 
 
 def _field_witness(
@@ -463,6 +515,91 @@ def _field_witness(
             vec[h] = solution[pos]
         solution = vec
     return GroupRingElement(group, ring, solution, _normalized=True)
+
+
+def _averaged_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism, kernel) -> list[Scalar]:
+    """The witness of ``delta`` that is zero at the free columns of ``kernel``.
+
+    With ``|G|`` invertible, ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
+    ``x tau(a) - sigma(a) x = d(a)``: substitute ``g = a h`` and expand
+    ``d(a h)`` by the Leibniz rule. Every witness is ``x`` plus an element of
+    the kernel, and ``x - sum_f x_f K_f`` is the one vanishing at every free
+    column ``f``, so it equals the solver's particular solution.
+    """
+    group, ring = sigma.group, sigma.ring
+    n = group.order
+    table = group.table
+    # The sum runs over ints: numerators over common denominators (1 over F_p).
+    d_den = math.lcm(*(img.coeffs[a].denominator for img in delta.images for a in img.support))
+    t_den = math.lcm(*(img.coeffs[b].denominator for img in tau.images for b in img.support))
+    sums: dict[int, int] = {}
+    for g in range(1, n):
+        check_cancel()
+        dg = delta.images[g]
+        tg = tau.images[group.inverse(g)]
+        for b in tg.support:
+            vb = tg.coeffs[b]
+            vb = vb.numerator * (t_den // vb.denominator)
+            for a in dg.support:
+                va = dg.coeffs[a]
+                k = table[a][b]
+                sums[k] = sums.get(k, 0) + va.numerator * (d_den // va.denominator) * vb
+    scale = ring.coerce(Fraction(1, n * d_den * t_den))
+    x = [ring.zero] * n
+    for k, v in sums.items():
+        x[k] = ring.normalize(v * scale)
+    for f, vector in kernel:
+        xf = x[f]
+        if xf:
+            for c, v in vector.items():
+                x[c] = ring.normalize(x[c] - xf * v)
+    return x
+
+
+def _canonical_witness(
+    delta: DerivationMap,
+    sigma: RingEndomorphism,
+    tau: RingEndomorphism,
+    allowed: list[int] | None,
+) -> GroupRingElement | None:
+    """The witness :func:`_field_witness` returns for ``allowed``, or None.
+
+    When the characteristic divides ``|G|`` this is that solver. Otherwise
+    the witnesses are ``x0 - sum_j l_j K_j`` for the averaged witness ``x0``
+    and the kernel vectors ``K_j``, and one vanishing outside ``allowed``
+    exists iff the system in the ``dim C`` unknowns ``l_j`` with the rows
+    ``sum_j K_j[h] l_j = x0[h]``, ``h`` outside ``allowed``, is consistent.
+    Its particular solution zeroes ``l_j`` exactly at the free columns of
+    the pinned system (a column of either is free iff a kernel vector
+    supported on ``allowed`` has its last nonzero entry there), so the
+    witness is the pinned solver's.
+    """
+    group, ring = sigma.group, sigma.ring
+    p = ring.characteristic
+    if p and group.order % p == 0:
+        return _field_witness(delta, sigma, tau, allowed)
+    kernel = _centralizer(sigma, tau)
+    x = _averaged_witness(delta, sigma, tau, kernel)
+    if allowed is not None:
+        inside = set(allowed)
+        rows: dict[int, dict[int, Scalar]] = {}
+        for j, (_f, vector) in enumerate(kernel):
+            for h, v in vector.items():
+                if h not in inside:
+                    rows.setdefault(h, {})[j] = v
+        system = LinearSystem(len(kernel), ring, augmented=True)
+        for h in range(group.order):
+            if h in inside or not (x[h] or h in rows):
+                continue
+            check_cancel()
+            system.add_row(rows.get(h, {}), x[h])
+            if not system.consistent:
+                return None
+        for (_f, vector), coeff in zip(kernel, system.particular_solution()):
+            if coeff:
+                for c, v in vector.items():
+                    x[c] = ring.normalize(x[c] - coeff * v)
+    return GroupRingElement(group, ring, x, _normalized=True)
 
 
 def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> GroupRingElement | None:

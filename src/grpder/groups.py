@@ -404,18 +404,12 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     order = n1 * n2
     if order > max_group_order():
         raise OrderCapExceeded(f"order {order} exceeds cap {max_group_order()}")
-    t1, t2 = g1.table, g2.table
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            i = a1 * n2 + b1
-            row = table[i]
-            ra, rb = t1[a1], t2[b1]
-            for a2 in range(n1):
-                base = ra[a2] * n2
-                row_a2 = a2 * n2
-                for b2 in range(n2):
-                    row[row_a2 + b2] = base + rb[b2]
+    # Rows are built as tuples, which the constructor keeps without a copy.
+    table = [
+        tuple([a * n2 + b for a in ra for b in rb])
+        for ra in g1.table
+        for rb in g2.table
+    ]
     labels = None
     if g1.labels is not None and g2.labels is not None:
         left = [_product_component(s) for s in g1.labels]

@@ -17,9 +17,9 @@ from .constructions import (
     build_truncation,
     commutative_derivation_form,
     find_unit_difference,
-    inner_witness_with_support,
 )
 from .derivations import (
+    _field_witness,
     derivation_from_images,
     derivation_space,
     extend_scalars,
@@ -45,7 +45,7 @@ from .group_ring import (
 from .groups import center, standard_group
 from .linalg import ExactMatrix, LinearSystem, determinant, integer_solve, smith_normal_form, solve
 from .rings import GF, QQ, ZZ
-from .serialization import derivation_to_json, endo_to_json, group_to_json
+from .serialization import derivation_to_json, element_to_json, endo_to_json, group_to_json
 from .util import DEFAULT_SEED, check_cancel
 
 H1_GROUPS = ("C2", "C3", "C4", "C2xC2", "C6", "S3", "D4", "Q8", "A4")
@@ -578,9 +578,24 @@ def criterion_truncation_tower(seed: int = DEFAULT_SEED) -> list[VerificationCas
                 f"{'present' if witness is not None else 'absent'},{'reproduces' if reproduced else 'no'}",
             )
         )
+        # The witness above is averaged over the pair's cached kernel; the
+        # general solver must return the same bytes.
+        solved = _field_witness(bundle.delta, bundle.sigma, bundle.tau, None)
+        cases.append(
+            _case(
+                f"7.averaged-equals-solver:Q8^{level}",
+                f"Q8^{level}",
+                "Q",
+                "inner_witness against the witness-system solver",
+                "byte-equal",
+                "byte-equal" if _element_bytes(witness) == _element_bytes(solved) else "differ",
+            )
+        )
         if level >= 2:
             support = bundle.embedded_indices(level - 1)
-            restricted = inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support)
+            # The pinned-column solver, independent of the kernel reduction
+            # that inner_witness_with_support uses.
+            restricted = _field_witness(bundle.delta, bundle.sigma, bundle.tau, list(support))
             cases.append(
                 _case(
                     f"7.restricted-support:Q8^{level}",
@@ -592,6 +607,10 @@ def criterion_truncation_tower(seed: int = DEFAULT_SEED) -> list[VerificationCas
                 )
             )
     return cases
+
+
+def _element_bytes(element) -> str | None:
+    return None if element is None else json.dumps(element_to_json(element))
 
 
 # -- criterion 8: exact linear algebra self-checks -----------------------------

@@ -1,4 +1,4 @@
-"""Content-keyed caches: decoded groups and endomorphisms, and the Smith factors of a pair.
+"""Content-keyed caches: decoded groups and endomorphisms, and the Smith factors and field elimination of a pair.
 
 A cache must return what a cold call returns, store only successful
 results, stay within its bounds and be safe to share between threads.
@@ -18,16 +18,22 @@ from grpder import (
     CancelToken,
     DerivationMap,
     GroupRingElement,
+    build_truncation,
     conjugation_endo,
     derivation_from_images,
     direct_product,
+    endo_from_group_map,
     gcd_criterion,
     identity_endo,
     inner_derivation,
+    inner_witness,
     inner_witness_integer,
+    inner_witness_with_support,
     standard_group,
+    twisted_centralizer,
 )
 from grpder import derivations, linalg, serialization
+from grpder.derivations import _field_witness
 from grpder.groups import center
 from grpder.linalg import ExactMatrix, integer_solve
 from grpder.rings import GF, QQ, ZZ
@@ -386,3 +392,96 @@ def test_threads_sharing_the_caches_get_the_reference_answers(pairs):
     assert errors == []
     for cache in (serialization._GROUPS, serialization._ENDOS, derivations._INTEGER_FACTORS):
         assert cache.cells == sum(cells for _value, cells in cache._entries.values())
+
+
+# -- field elimination -----------------------------------------------------------
+
+
+def _tower(conjugator):
+    base = standard_group("S3")
+    return build_truncation(base, [base.conjugate(conjugator, h) for h in range(base.order)], 2)
+
+
+def test_clear_caches_empties_the_elimination_cache():
+    bundle = _tower(1)
+    inner_witness(bundle.delta, bundle.sigma, bundle.tau)
+    assert len(derivations._CENTRALIZERS) == 1 and derivations._CENTRALIZERS.cells > 0
+    _clear_caches()
+    assert len(derivations._CENTRALIZERS) == 0 and derivations._CENTRALIZERS.cells == 0
+
+
+def test_a_rebuilt_tower_reads_the_elimination_of_the_first(monkeypatch):
+    first = _tower(1)
+    witness = inner_witness(first.delta, first.sigma, first.tau)
+    rebuilt = _tower(1)
+    assert rebuilt.group is not first.group and rebuilt.sigma is not first.sigma
+    rows = []
+    monkeypatch.setattr(derivations, "_witness_rows", lambda *a: rows.append(a) or iter(()))
+    assert inner_witness(rebuilt.delta, rebuilt.sigma, rebuilt.tau) == witness
+    support = rebuilt.embedded_indices(1)
+    assert inner_witness_with_support(rebuilt.delta, rebuilt.sigma, rebuilt.tau, support) is None
+    assert rows == [] and len(derivations._CENTRALIZERS) == 1
+    # Another conjugator is another pair.
+    monkeypatch.undo()
+    other = _tower(3)
+    inner_witness(other.delta, other.sigma, other.tau)
+    assert len(derivations._CENTRALIZERS) == 2
+
+
+def test_pairs_differing_in_one_map_get_their_own_elimination():
+    group = standard_group("S3")
+    ident, conj = identity_endo(group, QQ), _conj_by_index(group, QQ, 1)
+    x = GroupRingElement(group, QQ, [1, 0, 2, 0, -1, 3])
+    for sigma, tau in ((ident, ident), (ident, conj), (conj, ident), (conj, conj)):
+        delta = inner_derivation(x, sigma, tau)
+        assert inner_witness(delta, sigma, tau) == _field_witness(delta, sigma, tau, None)
+    assert len(derivations._CENTRALIZERS) == 4
+
+
+def test_a_pair_above_the_cell_bound_is_answered_but_not_cached():
+    n = math.isqrt(_CACHE_MAX_CELLS) + 1  # the table alone exceeds the bound
+    group = standard_group(f"C{n}")
+    sigma = identity_endo(group, QQ)
+    tau = endo_from_group_map(group, QQ, [2 * i % n for i in range(n)])
+    x = GroupRingElement.from_dict(group, QQ, {1: 2, 5: -1, 100: 3})
+    delta = inner_derivation(x, sigma, tau)
+    witness = inner_witness(delta, sigma, tau)
+    assert witness == _field_witness(delta, sigma, tau, None)
+    assert inner_derivation(witness, sigma, tau) == delta
+    assert len(twisted_centralizer(sigma, tau)) == 1  # y g^2 = g y: y is a multiple of the sum of the group
+    assert len(derivations._CENTRALIZERS) == 0 and derivations._CENTRALIZERS.cells == 0
+
+
+def test_threads_sharing_the_elimination_cache_get_the_solver_witnesses():
+    cases = []
+    for conjugator in (1, 3, 4):
+        bundle = _tower(conjugator)
+        args = (bundle.delta, bundle.sigma, bundle.tau)
+        cases.append((args, _field_witness(*args, None)))
+    errors = []
+
+    def work(seed):
+        order = random.Random(seed)
+        try:
+            for step in range(40):
+                args, expected = order.choice(cases)
+                assert inner_witness(*args) == expected
+                if seed == 0 and step % 10 == 0:
+                    _clear_caches()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    cache = derivations._CENTRALIZERS
+    assert cache.cells == sum(cells for _value, cells in cache._entries.values())

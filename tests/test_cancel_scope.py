@@ -32,7 +32,7 @@ from grpder import (
     twisted_centralizer,
 )
 from grpder import derivations
-from grpder.linalg import ExactMatrix, integer_solve, smith_normal_form
+from grpder.linalg import ExactMatrix, LinearSystem, integer_solve, smith_normal_form
 from grpder.rings import GF, QQ, ZZ
 from grpder.util import _clear_caches, check_cancel
 
@@ -85,10 +85,13 @@ def _inner_space():
 
 
 def _twisted_centralizer():
+    # The elimination of a pair is cached; every run counts a cold call.
+    _clear_caches()
     return twisted_centralizer(*_pair(QQ))
 
 
 def _inner_witness():
+    _clear_caches()
     return inner_witness(*_inner_delta(QQ))
 
 
@@ -113,6 +116,7 @@ def _build_truncation(level=3):
 
 
 def _inner_witness_with_support():
+    _clear_caches()
     bundle = _build_truncation(2)
     support = bundle.embedded_indices(1)
     return inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support)
@@ -164,7 +168,9 @@ def test_request_paths_check_once_per_row():
     gens = len(S3.generators())
     # One check per row of the twisted matrix, as before the scope form.
     assert _checkpoints(_derivation_space_fast)[0] == (n - 1) * n
-    assert _checkpoints(_inner_witness)[0] == gens * n
+    # A cold witness: one check per row of the elimination, then one per
+    # non-identity image in the averaging loop.
+    assert _checkpoints(_inner_witness)[0] == gens * n + (n - 1)
     # The inner-space phase of leibniz_space is covered after the Leibniz rows.
     assert _checkpoints(_leibniz_space)[0] == gens * (n - 1) + _checkpoints(_inner_space)[0]
 
@@ -188,6 +194,48 @@ def test_a_cancelled_cold_factorization_stores_nothing():
     reference = integer_solve(ExactMatrix(ZZ, rows), rhs)
     assert list(inner_witness_integer(delta, sigma, tau).coeffs) == reference
     assert len(derivations._INTEGER_FACTORS) == 1
+
+
+def _count_add_row(monkeypatch):
+    calls = []
+    add_row = LinearSystem.add_row
+    monkeypatch.setattr(LinearSystem, "add_row", lambda self, *a: calls.append(1) or add_row(self, *a))
+    return calls
+
+
+def test_a_cached_pair_checks_in_the_averaging_loop_and_the_centralizer_system(monkeypatch):
+    delta, sigma, tau = _inner_delta(QQ)
+    expected = inner_witness(delta, sigma, tau)  # fills the cache
+    count, witness = _checkpoints(lambda: inner_witness(delta, sigma, tau))
+    assert witness == expected
+    assert count == S3.order - 1  # one per averaged image, no elimination
+
+    bundle = _build_truncation(2)
+    args = (bundle.delta, bundle.sigma, bundle.tau, bundle.embedded_indices(1))
+    assert inner_witness_with_support(*args) is None  # fills the cache
+    calls = _count_add_row(monkeypatch)
+    count, _ = _checkpoints(lambda: inner_witness_with_support(*args))
+    # The averaging loop, then one check per row of the dim C system.
+    assert calls and count == bundle.group.order - 1 + len(calls)
+    for call in (lambda: inner_witness(delta, sigma, tau), lambda: inner_witness_with_support(*args)):
+        for k in range(1, _checkpoints(call)[0] + 1):
+            token = TripToken(k)
+            with pytest.raises(Cancelled), token:
+                call()
+            assert token.checks == k
+
+
+def test_a_cancelled_elimination_stores_nothing():
+    sigma, tau = _pair(QQ)
+    count, reference = _checkpoints(_twisted_centralizer)
+    for k in range(1, count + 1):
+        _clear_caches()
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            twisted_centralizer(sigma, tau)
+        assert len(derivations._CENTRALIZERS) == 0
+    assert twisted_centralizer(sigma, tau) == reference
+    assert len(derivations._CENTRALIZERS) == 1
 
 
 def test_smith_normal_form_checks_once_per_reduction_pass():
