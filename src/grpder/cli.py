@@ -46,10 +46,17 @@ class CheckFailure(Exception):
     """A property or expectation did not hold; maps to exit code 1."""
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(data: dict, out_path: str | None) -> None:
     text = dumps_canonical(data)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write_text(out_path, text)
     sys.stdout.write(text)
 
 
@@ -60,6 +67,8 @@ def _load_json(path: str) -> dict:
         raise UsageFailure(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageFailure(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise UsageFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _load_group(path: str):
@@ -255,7 +264,7 @@ def cmd_verify_paper(args) -> int:
     report = run_criteria(ids, seed=args.seed)
     sys.stdout.write(report.table() + "\n")
     if args.json:
-        Path(args.json).write_text(dumps_canonical(report.to_json()), encoding="utf-8")
+        _write_text(args.json, dumps_canonical(report.to_json()))
     if not report.all_passed:
         raise CheckFailure(f"{report.failed} verification case(s) failed")
     return 0

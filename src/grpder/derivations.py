@@ -126,7 +126,12 @@ class DerivationMap:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Full derivation space over a field, its inner subspace, and h1."""
+    """Full derivation space over a field, its inner subspace, and h1.
+
+    When the characteristic does not divide ``|G|`` the two spaces are
+    equal and ``inner_basis`` is the ``basis`` tuple itself; on the Leibniz
+    path it is the independent basis of :func:`inner_space`.
+    """
 
     group: FiniteGroup
     ring: Ring
@@ -246,11 +251,12 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> Derivati
 
     When the characteristic does not divide ``|G|`` every derivation is
     inner: ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
-    ``x tau(a) - sigma(a) x = d(a)``. The basis is then the inner span
-    echelonized on reversed columns, which is the same basis
+    ``x tau(a) - sigma(a) x = d(a)``. The inner rows then go into one
+    system on reversed columns, and its reduced rows give the same basis
     :func:`leibniz_space` returns (one vector per free column, ascending,
-    1 there and 0 at the other free columns), and h1 is 0 without solving
-    the Leibniz system. Otherwise this is :func:`leibniz_space`.
+    1 there and 0 at the other free columns). The two spaces are equal, so
+    ``inner_basis`` is ``basis`` and h1 is 0 without solving the Leibniz
+    system. Otherwise this is :func:`leibniz_space`.
     """
     _check_endo_pair(sigma, tau)
     ring = sigma.ring
@@ -258,24 +264,19 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> Derivati
     p = ring.characteristic
     if p and n % p == 0:
         return leibniz_space(sigma, tau)
-    width = n * (n - 1)
-    last = width - 1
-    forward = LinearSystem(width, ring)
-    backward = LinearSystem(width, ring)
+    last = n * (n - 1) - 1
+    system = LinearSystem(n * (n - 1), ring)
     for row in _inner_rows(sigma, tau):
-        rank = forward.rank
-        forward.add_row(row)
-        # A row dependent on the earlier rows is dependent in either column order.
-        if forward.rank > rank:
-            backward.add_row({last - c: v for c, v in row.items()})
-    vectors = [vec[::-1] for vec in reversed(backward.span_basis())]
+        system.add_row({last - c: v for c, v in row.items()})
+    vectors = [vec[::-1] for vec in reversed(system.span_basis())]
+    basis = tuple(_maps_from_vectors(vectors, sigma, tau))
     return DerivationSpace(
         group=sigma.group,
         ring=ring,
         sigma=sigma,
         tau=tau,
-        basis=tuple(_maps_from_vectors(vectors, sigma, tau)),
-        inner_basis=tuple(_maps_from_vectors(forward.span_basis(), sigma, tau)),
+        basis=basis,
+        inner_basis=basis,
         h1_dimension=0,
     )
 
@@ -402,13 +403,12 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
 def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[int, dict[int, Scalar]], ...]:
     """Kernel of the generator rows of :func:`_witness_rows` over a field, cached per pair.
 
-    One ``(f, vector)`` per free column ``f`` of the reduced echelon form,
-    ascending: the sparse vector is 1 at ``f``, 0 at the other free columns,
-    and minus the reduced row's entry in column ``f`` at each pivot. The
-    entry is keyed by the pair's content (group table, ring, and the sparse
-    sigma and tau images), so a group rebuilt with the same table hits it;
-    it counts the table's n^2 cells, the image entries and the kernel
-    entries against the cache bound.
+    It is :meth:`LinearSystem.kernel`: one sparse ``(f, vector)`` per free
+    column ``f`` of the reduced echelon form, ascending. The entry is keyed
+    by the pair's content (group table, ring, and the sparse sigma and tau
+    images), so a group rebuilt with the same table hits it; it counts the
+    table's n^2 cells, the image entries and the kernel entries against the
+    cache bound.
     """
     group, ring = sigma.group, sigma.ring
     images = (*sigma.images, *tau.images)
@@ -427,14 +427,7 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
     system = LinearSystem(group.order, ring)
     for _i, _k, row in _witness_rows(sigma, tau):
         system.add_row(row)
-    reduced = system.rref_rows()
-    pivots = {c for c, _row in reduced}
-    vectors = {f: {f: ring.one} for f in range(group.order) if f not in pivots}
-    for c, row in reduced:
-        for f, v in row.items():
-            if f != c:
-                vectors[f][c] = ring.normalize(-v)
-    kernel = tuple(vectors.items())
+    kernel = tuple(system.kernel())
     cells = group.order**2 + len(values) + sum(len(vec) for _f, vec in kernel)
     _CENTRALIZERS.put(key, kernel, cells)
     return kernel
@@ -450,13 +443,7 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
     """
     _check_endo_pair(sigma, tau)
     group, ring = sigma.group, sigma.ring
-    basis = []
-    for _f, vector in _centralizer(sigma, tau):
-        vec = [ring.zero] * group.order
-        for c, v in vector.items():
-            vec[c] = v
-        basis.append(GroupRingElement(group, ring, vec, _normalized=True))
-    return basis
+    return [GroupRingElement.from_dict(group, ring, vector) for _f, vector in _centralizer(sigma, tau)]
 
 
 def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:

@@ -4,8 +4,10 @@ Field-side solving (kernels, particular solutions, span bases) goes through
 :class:`LinearSystem`, an incremental sparse row-echelon accumulator. Over Q
 every stored row is a primitive integer vector and elimination is
 fraction-free; rationals only appear when the reduced echelon form is
-extracted. Integer-side solvability is decided by Smith normal form with
-tracked unimodular factors.
+extracted, by one back-substitution loop for Q and F_p alike. Kernels
+(sparse from :meth:`LinearSystem.kernel`, or dense), span bases and
+particular solutions are read off that form. Integer-side solvability is
+decided by Smith normal form with tracked unimodular factors.
 
 All outputs are canonical: the reduced row echelon form of a row space is
 unique, so kernel bases, span bases and the particular solution with free
@@ -220,51 +222,33 @@ class LinearSystem:
     def _rref(self) -> dict[int, dict[int, Scalar]]:
         """Canonical reduced rows keyed by pivot column, leading entry 1.
 
-        Pivot rows never change once inserted, so the cache is current
-        while the pivot count is.
+        Over Q each pivot row is first scaled to a leading 1 as Fractions;
+        over F_p it already leads with 1. Pivot rows never change once
+        inserted, so the cache is current while the pivot count is.
         """
         if self._rref_cache is not None and self._rref_cache[0] == len(self._pivots):
             return self._rref_cache[1]
         p = self._p
         reduced: dict[int, dict[int, Scalar]] = {}
-        if p:
-            for c in sorted(self._pivots, reverse=True):
-                row = dict(self._pivots[c])
-                for c2 in list(row):
-                    if c2 != c and c2 in reduced:
-                        f = row.pop(c2)
-                        for c3, v in reduced[c2].items():
-                            if c3 == c2:
-                                continue
-                            w = (row.get(c3, 0) - f * v) % p
-                            if w:
-                                row[c3] = w
-                            else:
-                                row.pop(c3, None)
-                reduced[c] = row
-        else:
-            for c in sorted(self._pivots, reverse=True):
-                lead = self._pivots[c][c]
-                row = {c2: Fraction(v, lead) for c2, v in self._pivots[c].items()}
-                for c2 in list(row):
-                    if c2 != c and c2 in reduced:
-                        f = row.pop(c2)
-                        for c3, v in reduced[c2].items():
-                            if c3 == c2:
-                                continue
-                            w = row.get(c3, 0) - f * v
-                            if w:
-                                row[c3] = w
-                            else:
-                                row.pop(c3, None)
-                reduced[c] = row
+        for c in sorted(self._pivots, reverse=True):
+            piv = self._pivots[c]
+            row = dict(piv) if p else {c2: Fraction(v, piv[c]) for c2, v in piv.items()}
+            for c2 in list(row):
+                if c2 != c and c2 in reduced:
+                    f = row.pop(c2)
+                    for c3, v in reduced[c2].items():
+                        if c3 == c2:
+                            continue
+                        w = row.get(c3, 0) - f * v
+                        if p:
+                            w %= p
+                        if w:
+                            row[c3] = w
+                        else:
+                            row.pop(c3, None)
+            reduced[c] = row
         self._rref_cache = (len(self._pivots), reduced)
         return reduced
-
-    def rref_rows(self) -> list[tuple[int, dict[int, Scalar]]]:
-        """Reduced rows as ``(pivot column, row dict)`` sorted by pivot."""
-        reduced = self._rref()
-        return [(c, dict(reduced[c])) for c in sorted(reduced)]
 
     def particular_solution(self) -> list[Scalar] | None:
         """Solution with all free variables set to zero, or None if infeasible."""
@@ -278,29 +262,41 @@ class LinearSystem:
             sol[c] = self.ring.coerce(row.get(self._aug, 0))
         return sol
 
-    def kernel_basis(self) -> list[list[Scalar]]:
-        """Canonical nullspace basis, one vector per free column, ascending."""
+    def kernel(self) -> list[tuple[int, dict[int, Scalar]]]:
+        """Canonical nullspace basis as ``(f, sparse vector)`` per free column ``f``, ascending.
+
+        The vector is 1 at ``f``, 0 at the other free columns, and minus the
+        reduced row's entry in column ``f`` at each pivot column.
+        """
         if self._aug is not None:
             raise ValueError("kernel basis is only defined for homogeneous systems")
         reduced = self._rref()
-        free_cols = [c for c in range(self.ncols) if c not in reduced]
+        ring = self.ring
+        vectors = {f: {f: ring.one} for f in range(self.ncols) if f not in reduced}
+        for c, row in reduced.items():
+            for f, v in row.items():
+                if f != c:
+                    vectors[f][c] = ring.normalize(-v)
+        return list(vectors.items())
+
+    def kernel_basis(self) -> list[list[Scalar]]:
+        """The vectors of :meth:`kernel` made dense, in the same order."""
+        zero = self.ring.zero
         basis = []
-        for f in free_cols:
-            vec = [self.ring.zero] * self.ncols
-            vec[f] = self.ring.one
-            for c, row in reduced.items():
-                v = row.get(f)
-                if v:
-                    vec[c] = self.ring.normalize(-self.ring.coerce(v))
+        for _f, vector in self.kernel():
+            vec = [zero] * self.ncols
+            for c, v in vector.items():
+                vec[c] = v
             basis.append(vec)
         return basis
 
     def span_basis(self) -> list[list[Scalar]]:
-        """Canonical basis of the row span (densified reduced rows)."""
+        """Canonical basis of the row span: the reduced rows made dense, by ascending pivot."""
+        reduced = self._rref()
         vectors = []
-        for c, row in self.rref_rows():
+        for c in sorted(reduced):
             vec = [self.ring.zero] * self.ncols
-            for c2, v in row.items():
+            for c2, v in reduced[c].items():
                 if c2 != self._aug:
                     vec[c2] = self.ring.coerce(v)
             vectors.append(vec)

@@ -162,6 +162,31 @@ def test_h1_missing_file_exits_two(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h1", "--group", "{dir}", "--field", "Q"],
+        ["h1", "--group", "{s3}", "--sigma", "{dir}", "--field", "Q"],
+        ["inner-check", "--group", "{s3}", "--delta", "{dir}", "--ring", "Q"],
+        ["group", "product", "{dir}", "{s3}"],
+        ["inner-check", "--group", "{s3}", "--delta", "{binary}", "--ring", "Q"],
+        ["h1", "--group", "{nested}", "--field", "Q"],
+        ["h1", "--group", "{s3}", "--field", "Q", "-o", "{dir}/missing-dir/out.json"],
+        ["verify-paper", "--criteria", "2", "--json", "{dir}/missing-dir/x.json"],
+    ],
+    ids=["group-dir", "sigma-dir", "delta-dir", "product-dir", "binary", "nested", "output", "report"],
+)
+def test_unreadable_or_unwritable_path_exits_two(capsys, tmp_path, argv):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    paths = {"dir": str(tmp_path), "s3": write_group(tmp_path, "S3"), "binary": str(binary), "nested": str(nested)}
+    code, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_h1_output_is_byte_stable(capsys, tmp_path):
     path = write_group(tmp_path, "D4")
     _, out1, _ = run(capsys, "h1", "--group", path, "--field", "Q")

@@ -531,6 +531,31 @@ def test_fast_path_honours_cancel(leibniz_calls, s3, ring):
     assert leibniz_calls == []
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+def test_fast_path_eliminates_the_inner_rows_once(leibniz_calls, monkeypatch, s3, ring):
+    sigma = endo_from_group_map(s3, ring, [s3.conjugate(1, x) for x in range(s3.order)])
+    tau = identity_endo(s3, ring)
+    inner_rows = len(list(derivations._inner_rows(sigma, tau)))
+    systems, rows = [], []
+    init, add_row = LinearSystem.__init__, LinearSystem.add_row
+
+    def counting_init(self, *args, **kwargs):
+        systems.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_add_row(self, *args, **kwargs):
+        rows.append(self)
+        add_row(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counting_init)
+    monkeypatch.setattr(LinearSystem, "add_row", counting_add_row)
+    space = derivation_space(sigma, tau)
+    assert len(systems) == 1
+    assert rows == systems * inner_rows
+    assert space.inner_basis is space.basis
+    assert leibniz_calls == []
+
+
 # -- derivations by construction ------------------------------------------------
 
 PRODUCER_GROUPS = ("C2", "C3", "C4", "C2xC2", "S3", "Q8", "D4")

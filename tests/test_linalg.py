@@ -104,10 +104,19 @@ def test_kernel_canonical_under_row_shuffles():
         assert kernel_basis(ExactMatrix(QQ, shuffled)) == reference
 
 
+def _dense_kernel(system):
+    """The sparse kernel made dense, after checking its free columns ascend and carry 1."""
+    kernel = system.kernel()
+    assert [f for f, _vector in kernel] == sorted(f for f, _vector in kernel)
+    assert all(vector[f] == system.ring.one for f, vector in kernel)
+    return [[vector.get(c, system.ring.zero) for c in range(system.ncols)] for _f, vector in kernel]
+
+
 def test_linear_system_mod2_kernel():
     system = LinearSystem(2, GF(2))
     system.add_row({0: 1, 1: 1})
     assert system.kernel_basis() == [[1, 1]]
+    assert _dense_kernel(system) == system.kernel_basis()
 
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -251,4 +260,5 @@ def test_dependent_row_keeps_the_cached_reduced_rows(ring, augmented):
         assert system.particular_solution() == reference.particular_solution()
     else:
         assert system.kernel_basis() == reference.kernel_basis()
+        assert _dense_kernel(system) == system.kernel_basis()
         assert system.span_basis() == reference.span_basis()
