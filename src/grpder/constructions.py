@@ -179,7 +179,7 @@ def build_truncation(
         default_x = next(i for i in range(base.order) if i not in central)
         x_choices = [default_x] * level
     else:
-        x_choices = [int(v) for v in x_choices]
+        x_choices = _indices(x_choices, base.order, "witness choice")
         if len(x_choices) != level:
             raise ValueError("need one witness choice per factor")
     for x in x_choices:
@@ -257,5 +257,14 @@ def inner_witness_with_support(
     pinned system is solved (see :func:`derivations._canonical_witness`).
     """
     _check_same_pair(delta, sigma, tau)
-    allowed = sorted(set(int(i) for i in support))
+    allowed = sorted(set(_indices(support, sigma.group.order, "support")))
     return _canonical_witness(delta, sigma, tau, allowed)
+
+
+def _indices(values, order: int, what: str) -> list[int]:
+    """``values`` as a list; ValueError unless each is an ``int`` (not a bool) in ``[0, order)``."""
+    values = list(values)
+    for v in values:
+        if type(v) is not int or not 0 <= v < order:
+            raise ValueError(f"{what} index {v!r} is not an int in [0, {order})")
+    return values

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import (
     MixedGroups,
@@ -405,22 +404,13 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
 
     It is :meth:`LinearSystem.kernel`: one sparse ``(f, vector)`` per free
     column ``f`` of the reduced echelon form, ascending. The entry is keyed
-    by the pair's content (group table, ring, and the sparse sigma and tau
-    images), so a group rebuilt with the same table hits it; it counts the
-    table's n^2 cells, the image entries and the kernel entries against the
-    cache bound.
+    by the group table, the ring and the two maps'
+    :attr:`~grpder.group_ring.RingEndomorphism.content`, so a group rebuilt
+    with the same table hits it; it counts the table's n^2 cells, the image
+    entries and the kernel entries against the cache bound.
     """
     group, ring = sigma.group, sigma.ring
-    images = (*sigma.images, *tau.images)
-    values = [img.coeffs[k] for img in images for k in img.support]
-    # Numerators and denominators: ints hash in C, Fractions in Python.
-    key = (
-        group.table,
-        ring,
-        tuple([img.support for img in images]),
-        tuple(map(attrgetter("numerator"), values)),
-        tuple(map(attrgetter("denominator"), values)),
-    )
+    key = (group.table, ring, sigma.content, tau.content)
     kernel = _CENTRALIZERS.get(key)
     if kernel is not None:
         return kernel
@@ -428,7 +418,8 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
     for _i, _k, row in _witness_rows(sigma, tau):
         system.add_row(row)
     kernel = tuple(system.kernel())
-    cells = group.order**2 + len(values) + sum(len(vec) for _f, vec in kernel)
+    entries = len(sigma.content[1]) + len(tau.content[1])  # one numerator per image entry
+    cells = group.order**2 + entries + sum(len(vec) for _f, vec in kernel)
     _CENTRALIZERS.put(key, kernel, cells)
     return kernel
 
@@ -595,9 +586,8 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     The matrix is the generator rows of :func:`_witness_rows`, made dense:
     one block of ``|G|`` rows per generator, one column per ``alpha_h``.
     It depends only on the pair, so its Smith factors are cached under the
-    pair's content (group table, ring, and the sigma and tau image
-    coefficients); a repeated pair reads only the right-hand side
-    ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
+    key of :func:`_centralizer`, in a cache of their own; a repeated pair
+    reads only the right-hand side ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
     same matrix. :func:`gcd_criterion` reads every row in its own loop,
     so the two stay independent oracles.
     """
@@ -607,18 +597,13 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     group = sigma.group
     n = group.order
     gens = group.generators()
-    key = (
-        group.table,
-        sigma.ring,
-        tuple(img.coeffs for img in sigma.images),
-        tuple(img.coeffs for img in tau.images),
-    )
-    # The key's table and coefficients, U (|gens| n square) and V (n square).
-    cells = 3 * n * n + (len(gens) * n) ** 2 + n * n
+    key = (group.table, sigma.ring, sigma.content, tau.content)
     solver = _INTEGER_FACTORS.get(key)
     if solver is None:
         rows = [[row.get(h, 0) for h in range(n)] for _i, _k, row in _witness_rows(sigma, tau)]
         solver = _SmithSolver(ExactMatrix(ZZ, rows, _validated=True))
+        # The table, the image entries as in _centralizer, U (|gens| n square) and V (n square).
+        cells = n * n + len(sigma.content[1]) + len(tau.content[1]) + (len(gens) * n) ** 2 + n * n
         _INTEGER_FACTORS.put(key, solver, cells)
     solution = solver.solve([delta.images[i].coeffs[k] for i in gens for k in range(n)])
     if solution is None:

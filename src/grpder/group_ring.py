@@ -14,6 +14,7 @@ matching how twisted derivations consume them.
 from __future__ import annotations
 
 from itertools import compress
+from operator import attrgetter
 
 from .errors import (
     MixedGroups,
@@ -232,7 +233,7 @@ def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingE
 class RingEndomorphism:
     """R-linear ring endomorphism of RG given by images of the group basis."""
 
-    __slots__ = ("group", "ring", "images", "group_map")
+    __slots__ = ("group", "ring", "images", "group_map", "_content")
 
     def __init__(self, group: FiniteGroup, ring: Ring, images, group_map=None, *, _validated: bool = False):
         images = tuple(images)
@@ -242,6 +243,7 @@ class RingEndomorphism:
         self.ring = ring
         self.images = images
         self.group_map = tuple(group_map) if group_map is not None else None
+        self._content = None
         if not _validated:
             self._validate()
 
@@ -270,6 +272,22 @@ class RingEndomorphism:
     def apply(self, element: GroupRingElement) -> GroupRingElement:
         return linear_extension(self.group, self.ring, self.images, element)
 
+    @property
+    def content(self) -> tuple:
+        """The images' supports, then their entries' numerators and denominators, as tuples.
+
+        With the group table and ring it determines the map. Computed on first use and kept.
+        """
+        if self._content is None:
+            values = [img.coeffs[k] for img in self.images for k in img.support]
+            # Numerators and denominators: ints hash and compare in C, Fractions in Python.
+            self._content = (
+                tuple([img.support for img in self.images]),
+                tuple(map(attrgetter("numerator"), values)),
+                tuple(map(attrgetter("denominator"), values)),
+            )
+        return self._content
+
     def to_ring(self, ring: Ring) -> "RingEndomorphism":
         return RingEndomorphism(
             self.group,
@@ -286,7 +304,7 @@ class RingEndomorphism:
         return (
             self.ring == other.ring
             and self.group.same_group(other.group)
-            and all(a == b for a, b in zip(self.images, other.images))
+            and self.content == other.content
         )
 
     __hash__ = None

@@ -323,13 +323,9 @@ def _central_pool_z(group, rng):
     return options
 
 
-def _endo_key(endo) -> tuple:
-    return tuple(img.coeffs for img in endo.images)
-
-
 def _integral_scaled_basis_derivation(group, sigma_z, tau_z, rng, cache):
     """Scale a rational derivation-space basis element to integer images."""
-    key = (group.name, _endo_key(sigma_z), _endo_key(tau_z))
+    key = (group.name, sigma_z.content, tau_z.content)
     if key not in cache:
         cache[key] = derivation_space(sigma_z.to_ring(QQ), tau_z.to_ring(QQ))
     space = cache[key]
@@ -347,30 +343,36 @@ def _integral_scaled_basis_derivation(group, sigma_z, tau_z, rng, cache):
     return derivation_from_images(images, sigma_z, tau_z)
 
 
+def _integral_instances(rng, count: int):
+    """Yield ``count`` seeded Z instances ``(name, group, sigma, tau, delta)``.
+
+    Even instances are inner; odd ones scale a rational derivation-space basis
+    element to integer images, else are inner. Callers may draw from ``rng`` between.
+    """
+    groups = {name: standard_group(name) for name in CROSS_ORACLE_GROUPS}
+    pools = {name: _central_pool_z(groups[name], rng) for name in CROSS_ORACLE_GROUPS}
+    spaces = {}
+    for idx in range(count):
+        check_cancel()
+        name = CROSS_ORACLE_GROUPS[idx % len(CROSS_ORACLE_GROUPS)]
+        group, pool = groups[name], pools[name]
+        sigma = pool[rng.randrange(len(pool))]
+        tau = pool[rng.randrange(len(pool))]
+        delta = None
+        if idx % 2:
+            delta = _integral_scaled_basis_derivation(group, sigma, tau, rng, spaces)
+        if delta is None:
+            delta = inner_derivation(_random_element(group, ZZ, rng), sigma, tau)
+        yield name, group, sigma, tau, delta
+
+
 def criterion_integral_cross_oracle(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 4)
     agreements = {name: [0, 0] for name in CROSS_ORACLE_GROUPS}  # [agree, total]
     inner_seen = 0
     non_inner_seen = 0
     disagreement = None
-    groups = {name: standard_group(name) for name in CROSS_ORACLE_GROUPS}
-    pools = {name: _central_pool_z(groups[name], rng) for name in CROSS_ORACLE_GROUPS}
-    space_cache = {}
-    for idx in range(CROSS_ORACLE_INSTANCES):
-        check_cancel()
-        name = CROSS_ORACLE_GROUPS[idx % len(CROSS_ORACLE_GROUPS)]
-        group = groups[name]
-        pool = pools[name]
-        sigma = pool[rng.randrange(len(pool))]
-        tau = pool[rng.randrange(len(pool))]
-        if idx % 2 == 0:
-            x = _random_element(group, ZZ, rng)
-            delta = inner_derivation(x, sigma, tau)
-        else:
-            delta = _integral_scaled_basis_derivation(group, sigma, tau, rng, space_cache)
-            if delta is None:
-                x = _random_element(group, ZZ, rng)
-                delta = inner_derivation(x, sigma, tau)
+    for name, group, sigma, tau, delta in _integral_instances(rng, CROSS_ORACLE_INSTANCES):
         by_gcd = gcd_criterion(delta, sigma, tau)
         witness = inner_witness_integer(delta, sigma, tau)
         by_witness = witness is not None
@@ -446,25 +448,10 @@ def _leibniz_on_random_elements(delta, rng, samples=3) -> bool:
 
 def criterion_scalar_extension(seed: int = DEFAULT_SEED) -> list[VerificationCase]:
     rng = random.Random(seed + 5)
-    space_cache = {}
-    groups = {name: standard_group(name) for name in CROSS_ORACLE_GROUPS}
-    pools = {name: _central_pool_z(groups[name], rng) for name in CROSS_ORACLE_GROUPS}
     ok_leibniz = 0
     ok_restrict = 0
     ok_witness = 0
-    for idx in range(EXTENSION_INSTANCES):
-        check_cancel()
-        name = CROSS_ORACLE_GROUPS[idx % len(CROSS_ORACLE_GROUPS)]
-        group = groups[name]
-        pool = pools[name]
-        sigma = pool[rng.randrange(len(pool))]
-        tau = pool[rng.randrange(len(pool))]
-        if idx % 2 == 0:
-            delta = inner_derivation(_random_element(group, ZZ, rng), sigma, tau)
-        else:
-            delta = _integral_scaled_basis_derivation(group, sigma, tau, rng, space_cache)
-            if delta is None:
-                delta = inner_derivation(_random_element(group, ZZ, rng), sigma, tau)
+    for _name, group, sigma, tau, delta in _integral_instances(rng, EXTENSION_INSTANCES):
         lifted = extend_scalars(delta, sigma, tau)
         if _leibniz_on_random_elements(lifted, rng):
             ok_leibniz += 1

@@ -34,6 +34,7 @@ from grpder import (
 )
 from grpder import derivations, linalg, serialization
 from grpder.derivations import _field_witness
+from grpder.group_ring import RingEndomorphism
 from grpder.groups import center
 from grpder.linalg import ExactMatrix, integer_solve
 from grpder.rings import GF, QQ, ZZ
@@ -337,17 +338,35 @@ def _counted(call):
     return token.checks, result
 
 
+def _count_contents(monkeypatch):
+    """The maps whose content is computed from here on, once per computation."""
+    computed = []
+    fget = RingEndomorphism.content.fget
+
+    def counting(endo):
+        if endo._content is None:
+            computed.append(endo)
+        return fget(endo)
+
+    monkeypatch.setattr(RingEndomorphism, "content", property(counting))
+    return computed
+
+
 def test_a_cold_call_factors_once_and_a_repeat_does_no_pair_work(pairs, monkeypatch):
     calls = _spy_snf(monkeypatch)
     group, sigma, tau, _sign = pairs[7]
     delta = _delta(random.Random(3), group, sigma, tau, True)
     cold_checks, first = _counted(lambda: inner_witness_integer(delta, sigma, tau))
     assert len(calls) == 1 and cold_checks > 0
-    # Equal content, new objects: the same entry answers.
+    # Equal content, new objects: the same entry answers, and each new map's content is computed once.
     again = derivation_from_images(list(delta.images), _endo(group, "bicyclic"), _endo(group, "conj"))
+    computed = _count_contents(monkeypatch)
     warm_checks, second = _counted(lambda: inner_witness_integer(again, again.sigma, again.tau))
     assert warm_checks == 0 and len(calls) == 1
     assert second == first
+    assert list(map(id, computed)) == [id(again.sigma), id(again.tau)]
+    (key,) = derivations._INTEGER_FACTORS._entries
+    assert key == (group.table, ZZ, again.sigma.content, again.tau.content)
 
 
 def test_threads_sharing_the_caches_get_the_reference_answers(pairs):
@@ -426,6 +445,18 @@ def test_a_rebuilt_tower_reads_the_elimination_of_the_first(monkeypatch):
     other = _tower(3)
     inner_witness(other.delta, other.sigma, other.tau)
     assert len(derivations._CENTRALIZERS) == 2
+
+
+def test_a_tower_request_computes_each_map_content_once(monkeypatch):
+    bundle = _tower(1)
+    computed = _count_contents(monkeypatch)
+    args = (bundle.delta, bundle.sigma, bundle.tau)
+    witness = inner_witness(*args)
+    assert inner_witness_with_support(*args, bundle.embedded_indices(1)) is None
+    assert inner_witness_with_support(*args, range(bundle.group.order)) == witness
+    assert sorted(map(id, computed)) == sorted(map(id, (bundle.sigma, bundle.tau)))
+    (key,) = derivations._CENTRALIZERS._entries
+    assert key == (bundle.group.table, QQ, bundle.sigma.content, bundle.tau.content)
 
 
 def test_pairs_differing_in_one_map_get_their_own_elimination():

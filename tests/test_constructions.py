@@ -26,7 +26,7 @@ from grpder import (
     is_derivation,
     standard_group,
 )
-from grpder.rings import QQ
+from grpder.rings import GF, QQ
 
 
 def sign_twist(group, ring):
@@ -213,6 +213,31 @@ def test_truncation_rejects_bad_inputs(q8):
         build_truncation(q8, conj_map(q8, 2), 99)
     with pytest.raises(ValueError):
         build_truncation(q8, conj_map(q8, 2), 2, x_choices=[2])
+
+
+BAD_INDICES = ([6], [0, 1, 2, 3, 4, 5, 7], [-1], [2.7], ["2"], [True])
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5), GF(3)], ids=str)
+@pytest.mark.parametrize("support", BAD_INDICES, ids=repr)
+def test_support_indices_must_be_ints_in_range(ring, support):
+    # Over F3 (3 divides 6) the pinned solver answers, over Q and F5 the averaged witness.
+    s3 = standard_group("S3")
+    sigma = endo_from_group_map(s3, ring, conj_map(s3, 1))
+    tau = identity_endo(s3, ring)
+    delta = inner_derivation(GroupRingElement.basis(s3, ring, 3), sigma, tau)
+    with pytest.raises(ValueError, match="support index"):
+        inner_witness_with_support(delta, sigma, tau, support)
+    witness = inner_witness_with_support(delta, sigma, tau, range(6))
+    assert witness == inner_witness(delta, sigma, tau) and witness is not None
+
+
+@pytest.mark.parametrize("first", [6, -1, 3.9, "3", True], ids=repr)
+def test_witness_choices_must_be_ints_in_range(first):
+    s3 = standard_group("S3")
+    with pytest.raises(ValueError, match="witness choice index"):
+        build_truncation(s3, conj_map(s3, 1), 2, x_choices=[first, 3])
+    assert build_truncation(s3, conj_map(s3, 1), 2, x_choices=[3, 3]).witness_indices == (18, 3)
 
 
 def test_truncation_with_chosen_witnesses(q8):

@@ -24,7 +24,7 @@ from grpder import (
     standard_group,
 )
 from grpder import group_ring
-from grpder.group_ring import commutator_span_system, linear_extension
+from grpder.group_ring import RingEndomorphism, commutator_span_system, linear_extension
 from grpder.rings import GF, QQ, ZZ
 from test_groups import brute_classes, brute_commutator_system
 
@@ -192,6 +192,35 @@ def test_endo_multiplicativity_extends_bilinearly(q8):
 def test_conjugation_by_one_is_identity(s3):
     phi = conjugation_endo(GroupRingElement.one(s3, QQ))
     assert phi == identity_endo(s3, QQ)
+
+
+def test_endomorphism_equality_reads_the_content(s3, monkeypatch):
+    def unit(group):  # (2 + s)(2 - s) = 3 for the reflection s
+        return GroupRingElement.from_dict(group, QQ, {0: 2, 3: 1})
+
+    phi = conjugation_endo(unit(s3))
+    assert any(len(img.support) > 1 for img in phi.images)
+    rebuilt = standard_group("S3")
+    assert rebuilt is not s3
+    images = list(phi.images)
+    images[1] = images[1] + GroupRingElement.basis(s3, QQ, images[1].support[0])
+    others = (
+        RingEndomorphism(s3, QQ, images, _validated=True),  # one coefficient differs
+        identity_endo(s3, QQ),
+        phi.to_ring(GF(5)),
+        RingEndomorphism(standard_group("C6"), QQ, phi.images, _validated=True),
+    )
+    same = conjugation_endo(unit(rebuilt))
+
+    def no_image_comparison(self, other):
+        raise AssertionError("compared images")
+
+    monkeypatch.setattr(GroupRingElement, "__eq__", no_image_comparison)
+    assert phi == same and same == phi
+    for other in others:
+        assert phi != other and other != phi
+    assert identity_endo(s3, QQ) != identity_endo(s3, ZZ)
+    assert identity_endo(s3, QQ) == identity_endo(rebuilt, QQ)
 
 
 def test_conjugation_by_group_element(s3):
