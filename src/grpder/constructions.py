@@ -136,8 +136,8 @@ class TruncationBundle:
 
     def embedded_indices(self, sublevel: int) -> tuple[int, ...]:
         """Indices of the embedded ``H^sublevel`` (remaining factors identity)."""
-        if not 0 <= sublevel <= self.level:
-            raise ValueError("sublevel out of range")
+        if type(sublevel) is not int or not 0 <= sublevel <= self.level:
+            raise ValueError(f"sublevel {sublevel!r} is not an int in [0, {self.level}]")
         stride = self.base.order ** (self.level - sublevel)
         return tuple(q * stride for q in range(self.base.order**sublevel))
 
@@ -151,8 +151,9 @@ def build_truncation(
     """Assemble ``H^level`` with componentwise twist and the tower derivation.
 
     ``sigma1`` is a class-preserving automorphism of the non-abelian base ``H``
-    given as an index map; ``x_choices`` picks one non-central base element
-    per factor (default: the least-index non-central element). The derivation
+    given as a sequence of plain ``int`` indices; ``x_choices`` picks one
+    non-central base element per factor (default: the least-index
+    non-central element). The derivation
     is the inner derivation of the sum ``w`` of the embedded choices, read
     off the table by index as ``d(g) = sum_f (w_f g - sigma(g) w_f)``
     (``tau`` is the identity), so it is a derivation by construction and is
@@ -191,7 +192,6 @@ def build_truncation(
         check_cancel()
         group = direct_product(group, base)
 
-    f1 = [int(v) for v in sigma1]
     h = base.order
     digits_weight = [h ** (level - 1 - f) for f in range(level)]
 
@@ -199,7 +199,7 @@ def build_truncation(
         out = 0
         for w in digits_weight:
             d = g // w % h
-            out += f1[d] * w
+            out += sigma1[d] * w
         return out
 
     sigma_map = [map_index(g) for g in range(order)]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    MixedGroups,
     MixedRings,
     NotADerivation,
     NotAUnit,
@@ -31,6 +30,7 @@ from .errors import (
 from .group_ring import (
     GroupRingElement,
     RingEndomorphism,
+    _check_member,
     commutator_span_system,
     invert,
     is_central_endo,
@@ -69,8 +69,7 @@ class DerivationMap:
         self.tau = tau
         self.images = tuple(images)
         if not _validated:
-            if not group.same_group(sigma.group) or ring != sigma.ring:
-                raise ValueError("a derivation lives on the group and ring of its sigma")
+            _check_member("sigma", sigma, group, ring)
             if not is_derivation(self.images, sigma, tau):
                 raise NotADerivation("images violate d(1) = 0 or the Leibniz rule")
 
@@ -110,11 +109,7 @@ class DerivationMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DerivationMap):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.group.same_group(other.group)
-            and all(a == b for a, b in zip(self.images, other.images))
-        )
+        return self.ring == other.ring and self.group == other.group and self.images == other.images
 
     __hash__ = None
 
@@ -141,16 +136,9 @@ class DerivationSpace:
     h1_dimension: int
 
 
-def _check_endo_pair(sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
-    if not sigma.group.same_group(tau.group):
-        raise MixedGroups("sigma and tau act on different groups")
-    if sigma.ring != tau.ring:
-        raise MixedRings(f"sigma ring {sigma.ring} != tau ring {tau.ring}")
-
-
 def _check_same_pair(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
     """Raise ValueError unless ``(sigma, tau)`` is the pair ``delta`` was built for."""
-    if not (delta.sigma is sigma or delta.sigma == sigma) or not (delta.tau is tau or delta.tau == tau):
+    if delta.sigma != sigma or delta.tau != tau:
         raise ValueError("derivation is twisted by a different endomorphism pair")
 
 
@@ -166,14 +154,11 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> boo
     if isinstance(images, DerivationMap):
         images = images.images
     images = list(images)
-    _check_endo_pair(sigma, tau)
+    _check_member("tau", tau, sigma.group, sigma.ring)
     if len(images) != sigma.group.order:
         raise ValueError("need one candidate image per group basis element")
     for img in images:
-        if not img.group.same_group(sigma.group):
-            raise MixedGroups("candidate image belongs to a different group")
-        if img.ring != sigma.ring:
-            raise MixedRings(f"image ring {img.ring} != {sigma.ring}")
+        _check_member("candidate image", img, sigma.group, sigma.ring)
     if not images[0].is_zero:
         return False
     group = sigma.group
@@ -222,11 +207,8 @@ def derivation_from_images(images, sigma: RingEndomorphism, tau: RingEndomorphis
 
 def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
     """The inner derivation ``a -> x tau(a) - sigma(a) x``."""
-    _check_endo_pair(sigma, tau)
-    if not x.group.same_group(sigma.group):
-        raise MixedGroups("witness belongs to a different group")
-    if x.ring != sigma.ring:
-        raise MixedRings(f"witness ring {x.ring} != {sigma.ring}")
+    _check_member("tau", tau, sigma.group, sigma.ring)
+    _check_member("witness", x, sigma.group, sigma.ring)
     images = [x * tau.images[i] - sigma.images[i] * x for i in range(sigma.group.order)]
     return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, _validated=True)
 
@@ -257,7 +239,7 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> Derivati
     ``inner_basis`` is ``basis`` and h1 is 0 without solving the Leibniz
     system. Otherwise this is :func:`leibniz_space`.
     """
-    _check_endo_pair(sigma, tau)
+    _check_member("tau", tau, sigma.group, sigma.ring)
     ring = sigma.ring
     n = sigma.group.order
     p = ring.characteristic
@@ -292,7 +274,7 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationS
     the reference the fast path of :func:`derivation_space` is tested
     against.
     """
-    _check_endo_pair(sigma, tau)
+    _check_member("tau", tau, sigma.group, sigma.ring)
     ring = sigma.ring
     group = sigma.group
     n = group.order
@@ -357,7 +339,7 @@ def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
 
 def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[DerivationMap]:
     """Canonical basis of the space of inner derivations ``x -> d_x``."""
-    _check_endo_pair(sigma, tau)
+    _check_member("tau", tau, sigma.group, sigma.ring)
     ring = sigma.ring
     n = sigma.group.order
     system = LinearSystem(n * (n - 1), ring)
@@ -404,13 +386,14 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
 
     It is :meth:`LinearSystem.kernel`: one sparse ``(f, vector)`` per free
     column ``f`` of the reduced echelon form, ascending. The entry is keyed
-    by the group table, the ring and the two maps'
+    by the group, the ring and the two maps'
     :attr:`~grpder.group_ring.RingEndomorphism.content`, so a group rebuilt
-    with the same table hits it; it counts the table's n^2 cells, the image
-    entries and the kernel entries against the cache bound.
+    with the same table hits it, and the table is hashed once per group
+    object; it counts the table's n^2 cells, the image entries and the
+    kernel entries against the cache bound.
     """
     group, ring = sigma.group, sigma.ring
-    key = (group.table, ring, sigma.content, tau.content)
+    key = (group, ring, sigma.content, tau.content)
     kernel = _CENTRALIZERS.get(key)
     if kernel is not None:
         return kernel
@@ -432,7 +415,7 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
     of the pair's cached elimination (see :func:`_centralizer`), one vector
     per free column, ascending.
     """
-    _check_endo_pair(sigma, tau)
+    _check_member("tau", tau, sigma.group, sigma.ring)
     group, ring = sigma.group, sigma.ring
     return [GroupRingElement.from_dict(group, ring, vector) for _f, vector in _centralizer(sigma, tau)]
 
@@ -597,7 +580,7 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     group = sigma.group
     n = group.order
     gens = group.generators()
-    key = (group.table, sigma.ring, sigma.content, tau.content)
+    key = (group, sigma.ring, sigma.content, tau.content)
     solver = _INTEGER_FACTORS.get(key)
     if solver is None:
         rows = [[row.get(h, 0) for h in range(n)] for _i, _k, row in _witness_rows(sigma, tau)]

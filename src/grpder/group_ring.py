@@ -28,6 +28,14 @@ from .linalg import LinearSystem
 from .rings import QQ, ZZ, Ring, Scalar
 
 
+def _check_member(what: str, obj, group: FiniteGroup, ring: Ring) -> None:
+    """Raise MixedGroups or MixedRings unless ``obj``, an element or a map, lives in ``ring[group]``."""
+    if obj.group != group:
+        raise MixedGroups(f"{what} belongs to a different group")
+    if obj.ring != ring:
+        raise MixedRings(f"{what} ring {obj.ring} != {ring}")
+
+
 class GroupRingElement:
     """An element of RG: a length-n coefficient vector over an exact ring."""
 
@@ -76,12 +84,6 @@ class GroupRingElement:
 
     # -- structure ----------------------------------------------------------
 
-    def _check_compatible(self, other: "GroupRingElement") -> None:
-        if not self.group.same_group(other.group):
-            raise MixedGroups("elements belong to different groups")
-        if self.ring != other.ring:
-            raise MixedRings(f"ring mismatch: {self.ring} vs {other.ring}")
-
     @property
     def is_zero(self) -> bool:
         return not self.support
@@ -91,7 +93,7 @@ class GroupRingElement:
             return NotImplemented
         return (
             self.ring == other.ring
-            and self.group.same_group(other.group)
+            and self.group == other.group
             and self.coeffs == other.coeffs
         )
 
@@ -109,7 +111,7 @@ class GroupRingElement:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
+        _check_member("operand", other, self.group, self.ring)
         p = self.ring.characteristic
         vec = list(self.coeffs)
         ocoeffs = other.coeffs
@@ -119,7 +121,7 @@ class GroupRingElement:
         return _with_support(self.group, self.ring, vec, {*self.support, *other.support})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
+        _check_member("operand", other, self.group, self.ring)
         p = self.ring.characteristic
         vec = list(self.coeffs)
         ocoeffs = other.coeffs
@@ -145,7 +147,7 @@ class GroupRingElement:
         return _with_support(self.group, self.ring, vec, self.support)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
+        _check_member("operand", other, self.group, self.ring)
         table = self.group.table
         zero = self.ring.zero
         sums: dict[int, Scalar] = {}
@@ -215,10 +217,7 @@ def invert(a: GroupRingElement) -> GroupRingElement | None:
 
 def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingElement) -> GroupRingElement:
     """Evaluate the R-linear map with basis images ``images`` on ``element``."""
-    if not element.group.same_group(group):
-        raise MixedGroups("element belongs to a different group")
-    if element.ring != ring:
-        raise MixedRings(f"element ring {element.ring} != {ring}")
+    _check_member("element", element, group, ring)
     zero = ring.zero
     sums: dict[int, Scalar] = {}
     for i in element.support:
@@ -256,10 +255,7 @@ class RingEndomorphism:
         """
         images = self.images
         for img in images:
-            if not img.group.same_group(self.group):
-                raise MixedGroups("image belongs to a different group")
-            if img.ring != self.ring:
-                raise MixedRings(f"image ring {img.ring} != {self.ring}")
+            _check_member("image", img, self.group, self.ring)
         if images[0] != GroupRingElement.one(self.group, self.ring):
             raise NotMultiplicative(0, 0, "image of the identity must be 1")
         table = self.group.table
@@ -301,9 +297,9 @@ class RingEndomorphism:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingEndomorphism):
             return NotImplemented
-        return (
+        return self is other or (
             self.ring == other.ring
-            and self.group.same_group(other.group)
+            and self.group == other.group
             and self.content == other.content
         )
 
@@ -323,13 +319,15 @@ def identity_endo(group: FiniteGroup, ring: Ring) -> RingEndomorphism:
 def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorphism:
     """Linear extension of a group endomorphism given as an index map.
 
+    The map's entries must be plain ``int`` values (not bools, floats or
+    digit strings) in ``[0, n)``; anything else raises NotAHomomorphism.
     Multiplicativity is checked against the generators of ``group``, which
     suffices as for :meth:`RingEndomorphism._validate`.
     """
-    f = [int(v) for v in mapping]
+    f = list(mapping)
     n = group.order
-    if len(f) != n or any(not 0 <= v < n for v in f):
-        raise NotAHomomorphism("index map must send [0,n) into [0,n)")
+    if len(f) != n or any(type(v) is not int or not 0 <= v < n for v in f):
+        raise NotAHomomorphism(f"index map must be {n} ints in [0, {n})")
     if f[0] != 0:
         raise NotAHomomorphism("map must fix the identity")
     table = group.table

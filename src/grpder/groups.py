@@ -42,13 +42,16 @@ def max_group_order() -> int:
 class FiniteGroup:
     """Order-n group given by its Cayley table; immutable after construction.
 
-    ``table[i][j]`` is the index of ``g_i * g_j``. Groups are compared by
-    table identity only; no isomorphism testing is provided.
+    ``table[i][j]`` is the index of ``g_i * g_j``. Two groups are equal iff
+    they are the same object or their tables are equal; labels and names
+    are ignored, and no isomorphism testing is provided. The hash is the
+    table's, computed on first use and kept, so a group used as a cache key
+    hashes its n^2 cells once.
     """
 
     __slots__ = (
         "order", "table", "labels", "name",
-        "_inverse", "_classes", "_generators",
+        "_inverse", "_classes", "_generators", "_hash",
     )
 
     def __init__(self, table, labels=None, name: str | None = None, *, _validated: bool = False):
@@ -62,6 +65,7 @@ class FiniteGroup:
         self._inverse: tuple[int, ...] | None = None
         self._classes: tuple[Subset, ...] | None = None
         self._generators: tuple[int, ...] | None = None
+        self._hash: int | None = None
         if not _validated:
             self.validate()
 
@@ -184,14 +188,13 @@ class FiniteGroup:
         except ValueError as exc:
             raise ValueError(f"unknown element label {text!r}") from exc
 
-    def same_group(self, other: "FiniteGroup") -> bool:
-        return self is other or self.table == other.table
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (isinstance(other, FiniteGroup) and self.table == other.table)
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        if self._hash is None:
+            self._hash = hash(self.table)
+        return self._hash
 
     def __repr__(self) -> str:
         name = self.name or f"group-of-order-{self.order}"

@@ -7,6 +7,7 @@ timed criteria also assert their wall-clock budgets.
 
 import time
 
+from grpder import derivations, verification
 from grpder.util import DEFAULT_SEED
 from grpder.verification import (
     criterion_commutative_closed_form,
@@ -73,3 +74,24 @@ def test_criterion_8_linalg_self_checks():
 
 def test_criterion_9_commutator_congruence():
     _report(9, "congruence checks on S3 and Q8", criterion_congruence(DEFAULT_SEED))
+
+
+# -- independence: a criterion must not check a shortcut against itself --------
+
+
+def test_criterion_5_fails_when_the_averaged_witness_is_wrong(monkeypatch):
+    def zeros(delta, sigma, tau, kernel):
+        return [sigma.ring.zero] * sigma.group.order
+
+    monkeypatch.setattr(derivations, "_averaged_witness", zeros)
+    failed = [c.claim for c in criterion_scalar_extension(DEFAULT_SEED) if not c.passed]
+    assert failed == ["5.rational-witness"]
+
+
+def test_criteria_3_and_6_do_not_read_the_fast_derivation_space(monkeypatch):
+    def unavailable(sigma, tau):
+        raise AssertionError("derivation_space returns the inner span over Q")
+
+    monkeypatch.setattr(verification, "derivation_space", unavailable)
+    cases = criterion_derivation_identities(DEFAULT_SEED) + criterion_commutative_closed_form(DEFAULT_SEED)
+    assert cases and all(c.passed for c in cases)

@@ -6,6 +6,7 @@ from grpder import (
     DifferenceNotAUnit,
     GroupRingElement,
     NotAbelian,
+    NotAHomomorphism,
     NotAnAutomorphism,
     NotClassPreserving,
     OrderCapExceeded,
@@ -230,6 +231,35 @@ def test_support_indices_must_be_ints_in_range(ring, support):
         inner_witness_with_support(delta, sigma, tau, support)
     witness = inner_witness_with_support(delta, sigma, tau, range(6))
     assert witness == inner_witness(delta, sigma, tau) and witness is not None
+
+
+# (position, entry): the entry at that position of S3's identity map, in a shape
+# int() would have turned into the right index, or out of range.
+BAD_MAP_ENTRIES = ((5, 5.7), (5, 5.0), (0, "0"), (1, True), (5, 6), (3, -1))
+
+
+@pytest.mark.parametrize("position, entry", BAD_MAP_ENTRIES, ids=repr)
+def test_index_map_entries_must_be_ints_in_range(position, entry):
+    s3 = standard_group("S3")
+    mapping = list(range(6))
+    mapping[position] = entry
+    with pytest.raises(NotAHomomorphism, match="ints in"):
+        endo_from_group_map(s3, QQ, mapping)
+    with pytest.raises(NotAnAutomorphism, match="ints in"):
+        class_preserving_check(s3, mapping)
+    with pytest.raises(NotAnAutomorphism, match="ints in"):
+        build_truncation(s3, mapping, 2)
+    assert endo_from_group_map(s3, QQ, range(6)) == identity_endo(s3, QQ)
+    bundle = build_truncation(s3, tuple(range(6)), 2)
+    assert bundle.sigma == identity_endo(bundle.group, QQ)
+
+
+@pytest.mark.parametrize("sublevel", [True, 1.5, 1.0, "1", -1, 3], ids=repr)
+def test_embedded_sublevel_must_be_an_int_in_range(q8, sublevel):
+    bundle = build_truncation(q8, conj_map(q8, 2), 2)
+    with pytest.raises(ValueError, match="sublevel"):
+        bundle.embedded_indices(sublevel)
+    assert bundle.embedded_indices(1) == tuple(range(0, 64, 8))
 
 
 @pytest.mark.parametrize("first", [6, -1, 3.9, "3", True], ids=repr)

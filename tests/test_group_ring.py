@@ -24,6 +24,15 @@ from grpder import (
     standard_group,
 )
 from grpder import group_ring
+from grpder.derivations import (
+    DerivationMap,
+    derivation_space,
+    inner_derivation,
+    inner_space,
+    is_derivation,
+    leibniz_space,
+    twisted_centralizer,
+)
 from grpder.group_ring import RingEndomorphism, commutator_span_system, linear_extension
 from grpder.rings import GF, QQ, ZZ
 from test_groups import brute_classes, brute_commutator_system
@@ -311,14 +320,55 @@ def test_commutator_elements_have_zero_augmentation(q8):
         assert augmentation(GroupRingElement(q8, QQ, vec)) == 0
 
 
-def test_mixed_ring_and_group_errors(c2, s3):
-    a = GroupRingElement(c2, ZZ, [1, 0])
-    b = GroupRingElement(c2, QQ, [1, 0])
-    with pytest.raises(MixedRings):
-        a * b
-    c = GroupRingElement.one(s3, ZZ)
-    with pytest.raises(MixedGroups):
-        a * c
+def _one(group, ring):
+    return GroupRingElement.one(group, ring)
+
+
+def _zeros(group, ring):
+    return [GroupRingElement.zero(group, ring)] * group.order
+
+
+def _ident(group, ring):
+    return identity_endo(group, ring)
+
+
+# Each site gets operands in Q[S3] and one operand (g, r) from elsewhere.
+MEMBERSHIP_SITES = {
+    "add": lambda G, R, g, r: _one(G, R) + _one(g, r),
+    "sub": lambda G, R, g, r: _one(G, R) - _one(g, r),
+    "mul": lambda G, R, g, r: _one(G, R) * _one(g, r),
+    "linear_extension": lambda G, R, g, r: linear_extension(G, R, _ident(G, R).images, _one(g, r)),
+    "endomorphism image": lambda G, R, g, r: RingEndomorphism(
+        G, R, [*_ident(G, R).images[:-1], GroupRingElement.basis(g, r, 5)]
+    ),
+    "is_derivation image": lambda G, R, g, r: is_derivation(
+        _zeros(G, R)[:-1] + [GroupRingElement.zero(g, r)], _ident(G, R), _ident(G, R)
+    ),
+    "inner_derivation witness": lambda G, R, g, r: inner_derivation(_one(g, r), _ident(G, R), _ident(G, R)),
+    "DerivationMap sigma": lambda G, R, g, r: DerivationMap(G, R, _ident(g, r), _ident(G, R), _zeros(G, R)),
+    # A tau from elsewhere, at every function that takes a (sigma, tau) pair.
+    "pair: is_derivation": lambda G, R, g, r: is_derivation(_zeros(G, R), _ident(G, R), _ident(g, r)),
+    "pair: inner_derivation": lambda G, R, g, r: inner_derivation(_one(G, R), _ident(G, R), _ident(g, r)),
+    "pair: derivation_space": lambda G, R, g, r: derivation_space(_ident(G, R), _ident(g, r)),
+    "pair: leibniz_space": lambda G, R, g, r: leibniz_space(_ident(G, R), _ident(g, r)),
+    "pair: inner_space": lambda G, R, g, r: inner_space(_ident(G, R), _ident(g, r)),
+    "pair: twisted_centralizer": lambda G, R, g, r: twisted_centralizer(_ident(G, R), _ident(g, r)),
+}
+
+
+@pytest.mark.parametrize("site", MEMBERSHIP_SITES, ids=str)
+@pytest.mark.parametrize(
+    "foreign, error",
+    [("C6", MixedGroups), ("F5", MixedRings)],
+    ids=["foreign-group", "foreign-ring"],
+)
+def test_every_operand_must_live_in_the_same_group_ring(s3, site, foreign, error):
+    # C6 has the order of S3, so no length check can answer first.
+    group, ring = (standard_group("C6"), QQ) if foreign == "C6" else (s3, GF(5))
+    with pytest.raises(error):
+        MEMBERSHIP_SITES[site](s3, QQ, group, ring)
+    # The same site with every operand at home raises nothing.
+    MEMBERSHIP_SITES[site](s3, QQ, standard_group("S3"), QQ)
 
 
 def test_scalar_coercion_rejects_bad_values(c2):

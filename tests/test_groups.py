@@ -227,6 +227,18 @@ def test_direct_product_with_trivial_is_identity_embedding():
     assert right.table == s3.table
 
 
+def test_groups_compare_by_table_and_hash_it_once():
+    s3 = standard_group("S3")
+    assert s3._hash is None
+    assert hash(s3) == hash(s3.table) and s3._hash == hash(s3.table)
+    # Built separately, unnamed and unlabelled: equal, with an equal hash.
+    rebuilt = make_from_table([list(row) for row in s3.table])
+    assert rebuilt is not s3 and rebuilt.table is not s3.table
+    assert rebuilt == s3 and s3 == rebuilt and hash(rebuilt) == hash(s3)
+    assert {s3: 1}[rebuilt] == 1
+    assert s3 != standard_group("C6") and s3 != s3.table
+
+
 def test_standard_product_labels_are_plain_pairs():
     # Products of standard groups, nested ones included, keep the labels
     # "(a,b)" they had before factor labels were ever escaped.
