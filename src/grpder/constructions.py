@@ -151,7 +151,8 @@ def build_truncation(
     """Assemble ``H^level`` with componentwise twist and the tower derivation.
 
     ``sigma1`` is a class-preserving automorphism of the non-abelian base ``H``
-    given as a sequence of plain ``int`` indices; ``x_choices`` picks one
+    given as an iterable of plain ``int`` indices, and ``level`` is a plain
+    ``int`` (not a bool); ValueError otherwise. ``x_choices`` picks one
     non-central base element per factor (default: the least-index
     non-central element). The derivation
     is the inner derivation of the sum ``w`` of the embedded choices, read
@@ -162,8 +163,11 @@ def build_truncation(
     :func:`inner_derivation`. The bundle is over ``QQ`` and its order is
     capped at ``TRUNCATION_MAX_ORDER``.
     """
+    if type(level) is not int:
+        raise ValueError(f"level {level!r} is not an int")
     if base.is_abelian:
         raise AbelianBase("base group must be non-abelian")
+    sigma1 = list(sigma1)
     if not class_preserving_check(base, sigma1):
         raise NotClassPreserving("automorphism moves a conjugacy class")
     if level < 1:

@@ -55,8 +55,63 @@ def _decoded(cache: _LruCache, scope: tuple, data, cells: int | None, decode):
 
 
 def dumps_canonical(data) -> str:
-    """Stable JSON encoding used for every file this package writes."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Stable JSON encoding used for every file this package writes.
+
+    The text is byte for byte ``json.dumps(data, indent=2, sort_keys=True)``
+    plus a newline. CPython encodes in C only without ``indent``, so plain
+    documents are written by :func:`_indented`, which hands each list of
+    scalars (a basis coefficient vector) to the compact C encoder in one
+    call. Anything else is left to ``json.dumps`` itself.
+    """
+    try:
+        return _indented(data, "\n") + "\n"
+    except (_NotPlain, TypeError, ValueError, RecursionError):
+        # Other types, non-str keys, cycles, values json rejects: the reference decides.
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class _NotPlain(Exception):
+    """A value whose type is not exactly one that :func:`_indented` writes."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_CONTAINERS = (dict, list, tuple)
+_LEAVES = (float, bool, type(None))
+
+
+def _indented(v, nl: str) -> str:
+    """``v`` as ``json.dumps(indent=2, sort_keys=True)`` writes it, ``nl`` being its line start."""
+    t = type(v)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if t in _LEAVES:
+        return _compact(v)
+    if t not in _CONTAINERS:
+        raise _NotPlain
+    if not v:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if t is dict:
+        parts = []
+        for k in sorted(v):
+            if type(k) is not str:
+                raise _NotPlain
+            parts.append(_encode_str(k) + ": " + _indented(v[k], inner))
+        return "{" + inner + sep.join(parts) + nl + "}"
+    if type(v[0]) not in _CONTAINERS:
+        # Split the compact text at its commas only when each one separates
+        # two items: no string holds a comma and no item is a container.
+        s = _compact(v)
+        if s.count(",") == len(v) - 1 and (
+            ('"' not in s and s.find("[", 1) < 0 and "{" not in s)
+            or all(type(x) is str or type(x) is int for x in v)
+        ):
+            return "[" + inner + s[1:-1].replace(",", sep) + nl + "]"
+    return "[" + inner + sep.join([_indented(x, inner) for x in v]) + nl + "]"
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -45,7 +45,7 @@ from .group_ring import (
 from .groups import center, standard_group
 from .linalg import ExactMatrix, LinearSystem, determinant, integer_solve, smith_normal_form, solve
 from .rings import GF, QQ, ZZ
-from .serialization import derivation_to_json, element_to_json, endo_to_json, group_to_json
+from .serialization import derivation_to_json, dumps_canonical, element_to_json, endo_to_json, group_to_json
 from .util import DEFAULT_SEED, check_cancel
 
 H1_GROUPS = ("C2", "C3", "C4", "C2xC2", "C6", "S3", "D4", "Q8", "A4")
@@ -397,7 +397,7 @@ def criterion_integral_cross_oracle(seed: int = DEFAULT_SEED) -> list[Verificati
                 "witness_present": bool(witness),
             }
             dump = pathlib.Path("grpder-oracle-disagreement.json")
-            dump.write_text(json.dumps(disagreement, indent=2, sort_keys=True) + "\n")
+            dump.write_text(dumps_canonical(disagreement))
     cases = []
     for name in CROSS_ORACLE_GROUPS:
         agree, total = agreements[name]

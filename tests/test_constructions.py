@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from grpder import (
@@ -27,6 +29,7 @@ from grpder import (
     is_derivation,
     standard_group,
 )
+from grpder.cli import main
 from grpder.rings import GF, QQ
 
 
@@ -260,6 +263,33 @@ def test_embedded_sublevel_must_be_an_int_in_range(q8, sublevel):
     with pytest.raises(ValueError, match="sublevel"):
         bundle.embedded_indices(sublevel)
     assert bundle.embedded_indices(1) == tuple(range(0, 64, 8))
+
+
+@pytest.mark.parametrize("level", [True, 2.0, "2"], ids=repr)
+def test_truncation_level_must_be_an_int(level):
+    s3 = standard_group("S3")
+    with pytest.raises(ValueError, match="level"):
+        build_truncation(s3, conj_map(s3, 1), level)
+
+
+def test_truncation_takes_sigma1_from_an_iterator():
+    s3 = standard_group("S3")
+    bundle = build_truncation(s3, iter(conj_map(s3, 1)), 2)
+    assert bundle == build_truncation(s3, conj_map(s3, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "base,level,digest",
+    [
+        ("S3", "2", "e7fc8c6d4405720e1f33b9121cd22358240be9123481a4b89ea7ffce9094e21f"),
+        ("S3", "3", "78873e4bd2fe729592f911cce8c2afcfd4f90c2523737e1cd7073082ee2bb6d3"),
+        ("A4", "2", "a5d018caf7204c5ae27ba4a8fc159034877c62dfbc090f2a28aca716e15da3a8"),
+    ],
+)
+def test_counterexample_cli_output_is_unchanged(capsys, base, level, digest):
+    assert main(["counterexample", "--base", base, "--n", level]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("first", [6, -1, 3.9, "3", True], ids=repr)

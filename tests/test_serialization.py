@@ -1,16 +1,22 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpder import (
     GroupRingElement,
     NotMultiplicative,
     conjugation_endo,
+    derivation_space,
+    direct_product,
     identity_endo,
     inner_derivation,
     standard_group,
 )
+from grpder.cli import main
 from grpder.rings import GF, QQ, ZZ, PrimeField, parse_scalar, ring_from_token
 from grpder.serialization import (
     derivation_images_from_json,
@@ -172,3 +178,154 @@ def test_dumps_canonical_is_stable():
     payload = {"b": 1, "a": [3, 2, 1]}
     assert dumps_canonical(payload) == dumps_canonical({"a": [3, 2, 1], "b": 1})
     assert dumps_canonical(payload).endswith("\n")
+
+
+def _reference(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class _Dict(dict):
+    pass
+
+
+_STRINGS = st.text(alphabet=st.sampled_from(',"[]{}\\/() ab1éλ∂ 😀\x00'), max_size=6) | st.text(max_size=4)
+_LEAVES = (
+    st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | _STRINGS
+    | st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(min_value=2))
+    | st.sampled_from(["(e,g)", "(g,e)", "a,b", "[1]", "{}", "1/2"])
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_DOCUMENTS)
+def test_dumps_canonical_matches_the_json_reference(data):
+    assert dumps_canonical(data) == _reference(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {},
+        [[]],
+        [{}],
+        {"a": []},
+        {"a": {}},
+        {"a": [[], {}, [[]], {"b": {}}]},
+        [[[[]]], [{"c": []}]],
+        [1],
+        ["a"],
+        [None],
+        [[1]],
+        {"a": [0]},
+        [[1], [2]],
+        [1, [2]],
+        [1, [], 2],
+        [1, {}],
+        ["a", []],
+        [1, "a,b"],
+        ["a,b", 1],
+        ["(e,g)", "(g,e)"],
+        ["[", "{", '"', "\\", "é"],
+        [1, "[x]", 2],
+        [True, False, None, 1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
+        [10**80, -(10**80), "-7/3"],
+        (1, (2, 3), ()),
+        {"t": (1, "a")},
+        _Dict(b=1, a=[1, 2]),
+        {"x": _Dict(a=1)},
+        [1, _Dict()],
+        [_Dict(a=1)],
+        {1: [2], 3: {}},
+        {"a": {2: "x"}},
+        "text",
+        7,
+        None,
+    ],
+    ids=repr,
+)
+def test_dumps_canonical_matches_the_json_reference_on_edge_cases(data):
+    assert dumps_canonical(data) == _reference(data)
+
+
+def test_dumps_canonical_raises_as_the_reference_does():
+    loop = []
+    loop.append(loop)
+    for bad, error in [(loop, ValueError), ([1, object()], TypeError), ({"a": {1, 2}}, TypeError)]:
+        with pytest.raises(error):
+            _reference(bad)
+        with pytest.raises(error):
+            dumps_canonical(bad)
+
+
+def _cli_answers(tmp_path):
+    """Answers the CLI writes: h1 over Q and F5, a product group with comma labels, inner-check, counterexample."""
+    outputs = []
+
+    def run(*argv):
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        outputs.append(out.read_text())
+        return str(out)
+
+    groups = {name: run("group", "make", "--name", name) for name in ("S3", "Q8", "C2")}
+    product = run("group", "product", groups["S3"], groups["C2"])
+    for name in ("S3", "Q8"):
+        for field in ("Q", "F5"):
+            run("h1", "--group", groups[name], "--field", field)
+    run("h1", "--group", product, "--field", "Q")
+    s3 = standard_group("S3")
+    ident = identity_endo(s3, ZZ)
+    delta = tmp_path / "delta.json"
+    witness = GroupRingElement(s3, ZZ, [0, 2, -1, 0, 1, 0])
+    delta.write_text(dumps_canonical(derivation_to_json(inner_derivation(witness, ident, ident))))
+    run("inner-check", "--group", groups["S3"], "--delta", str(delta), "--ring", "Z")
+    run("counterexample", "--base", "S3", "--n", "2")
+    return outputs
+
+
+def test_dumps_canonical_matches_the_json_reference_on_cli_answers(tmp_path):
+    answers = _cli_answers(tmp_path)
+    assert any('"(e,' in text for text in answers)
+    for text in answers:
+        data = json.loads(text)
+        assert dumps_canonical(data) == _reference(data) == text
+
+
+def _basis_document():
+    group = direct_product(standard_group("A4"), standard_group("C2"))
+    ident = identity_endo(group, QQ)
+    space = derivation_space(ident, ident)
+    return {"h1": space.h1_dimension, "basis": [derivation_to_json(d) for d in space.basis]}
+
+
+def test_dumps_canonical_runs_no_pure_python_encoder(monkeypatch):
+    # json.dumps(indent=2) encodes in Python through json.encoder._make_iterencode.
+    data = _basis_document()
+    assert sum(len(image["coeffs"]) for d in data["basis"] for image in d["images"]) >= 5000
+    calls = []
+    make_iterencode = json.encoder._make_iterencode
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return make_iterencode(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
+    text = dumps_canonical(data)
+    assert calls == []
+    assert dumps_canonical({1: [2]}) == _reference({1: [2]})
+    assert calls
+    monkeypatch.undo()
+    assert text == _reference(data)
