@@ -9,7 +9,10 @@ first Hochschild cohomology dimension is their difference. When the
 characteristic does not divide ``|G|`` the two spaces are equal, and the
 derivation space is computed from the inner one alone; witnesses are then
 averages reduced by the kernel of the pair's witness matrix, which is
-eliminated once per pair and cached. Over Z innerness
+eliminated once per pair and cached. When it divides ``|G|`` the derivation
+space is solved in the values ``d(s)`` on the generators, constrained by
+the Schreier relators of a spanning tree (Fox calculus); the Leibniz system
+stays the reference both paths are tested against. Over Z innerness
 is decided two independent ways: an integral witness via Smith normal form,
 and a per-equation gcd divisibility test; the two act as mutual oracles.
 """
@@ -123,8 +126,8 @@ class DerivationSpace:
     """Full derivation space over a field, its inner subspace, and h1.
 
     When the characteristic does not divide ``|G|`` the two spaces are
-    equal and ``inner_basis`` is the ``basis`` tuple itself; on the Leibniz
-    path it is the independent basis of :func:`inner_space`.
+    equal and ``inner_basis`` is the ``basis`` tuple itself; otherwise it
+    is the independent basis of :func:`inner_space`.
     """
 
     group: FiniteGroup
@@ -230,36 +233,116 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
 def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
     """The derivation space over a field, its inner subspace and h1.
 
+    A spanning set of the derivations goes into one system on reversed
+    columns, and its reduced rows give the basis :func:`leibniz_space`
+    returns (one vector per free column of the Leibniz system, ascending,
+    1 there and 0 at the other free columns), scalar types included.
+
     When the characteristic does not divide ``|G|`` every derivation is
     inner: ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
-    ``x tau(a) - sigma(a) x = d(a)``. The inner rows then go into one
-    system on reversed columns, and its reduced rows give the same basis
-    :func:`leibniz_space` returns (one vector per free column, ascending,
-    1 there and 0 at the other free columns). The two spaces are equal, so
-    ``inner_basis`` is ``basis`` and h1 is 0 without solving the Leibniz
-    system. Otherwise this is :func:`leibniz_space`.
+    ``x tau(a) - sigma(a) x = d(a)``. The spanning set is then the inner
+    rows, ``inner_basis`` is ``basis`` and h1 is 0. Otherwise it is the
+    solutions of the Schreier relators (see :func:`_relator_solutions`),
+    and ``inner_basis`` is that of :func:`inner_space`.
     """
     _check_member("tau", tau, sigma.group, sigma.ring)
     ring = sigma.ring
     n = sigma.group.order
     p = ring.characteristic
-    if p and n % p == 0:
-        return leibniz_space(sigma, tau)
+    schreier = p != 0 and n % p == 0
     last = n * (n - 1) - 1
     system = LinearSystem(n * (n - 1), ring)
-    for row in _inner_rows(sigma, tau):
+    for row in _relator_solutions(sigma, tau) if schreier else _inner_rows(sigma, tau):
         system.add_row({last - c: v for c, v in row.items()})
     vectors = [vec[::-1] for vec in reversed(system.span_basis())]
     basis = tuple(_maps_from_vectors(vectors, sigma, tau))
+    inner = tuple(inner_space(sigma, tau)) if schreier else basis
     return DerivationSpace(
         group=sigma.group,
         ring=ring,
         sigma=sigma,
         tau=tau,
         basis=basis,
-        inner_basis=basis,
-        h1_dimension=0,
+        inner_basis=inner,
+        h1_dimension=len(basis) - len(inner),
     )
+
+
+def _relator_solutions(sigma: RingEndomorphism, tau: RingEndomorphism):
+    """Flattened derivations over F_p spanning the derivation space (Fox calculus).
+
+    A derivation is fixed by its values ``d(s)`` on the generators. A
+    breadth-first Schreier tree from 1, by right multiplication, writes
+    every ``d(g)`` as linear forms in the ``|S| n`` unknowns ``d(s)_k``:
+    along a tree edge ``d(g s) = d(g) tau(s) + sigma(g) d(s)``. Each other
+    edge ``(g, s)`` is a Schreier relator and adds the block of ``n`` rows
+    ``d(g) tau(s) + sigma(g) d(s) - d(g s) = 0``. Then the Leibniz rule
+    holds on every pair ``(g, s)`` and ``d(1) = 0``, which is exactly a
+    derivation (see :func:`is_derivation`). Yields one sparse row per
+    kernel vector, ``d(g_i)_k`` at column ``(i - 1) n + k``, and polls
+    :func:`check_cancel` once per tree step or relator block.
+    """
+    group = sigma.group
+    n = group.order
+    p = sigma.ring.characteristic
+    table = group.table
+    gens = group.generators()
+    system = LinearSystem(len(gens) * n, sigma.ring)
+    forms: list[list[dict[int, int]] | None] = [None] * n
+    forms[0] = [{} for _ in range(n)]
+    reached = [0]
+    for g in reached:  # grows while it is read: breadth first
+        dg = forms[g]
+        sg = sigma.images[g]
+        for j, s in enumerate(gens):
+            check_cancel()
+            ts = tau.images[s]
+            image: list[dict[int, int]] = [{} for _ in range(n)]
+            for a, form in enumerate(dg):
+                if form:
+                    row = table[a]
+                    for b in ts.support:
+                        acc = image[row[b]]
+                        v = ts.coeffs[b]
+                        for c, w in form.items():
+                            acc[c] = acc.get(c, 0) + v * w
+            base = j * n
+            for a in sg.support:
+                v = sg.coeffs[a]
+                row = table[a]
+                for b in range(n):
+                    acc = image[row[b]]
+                    acc[base + b] = acc.get(base + b, 0) + v
+            h = table[g][s]
+            known = forms[h]
+            if known is None:
+                forms[h] = [{c: w % p for c, w in acc.items() if w % p} for acc in image]
+                reached.append(h)
+                continue
+            for acc, form in zip(image, known):
+                for c, w in form.items():
+                    acc[c] = acc.get(c, 0) - w
+                acc = {c: w % p for c, w in acc.items() if w % p}
+                if acc:
+                    system.add_row(acc)
+    # Evaluate the forms at every kernel vector at once, column by column.
+    kernel = system.kernel()
+    users: dict[int, list[tuple[dict[int, int], int]]] = {}
+    rows: list[dict[int, int]] = []
+    for _f, vector in kernel:
+        row: dict[int, int] = {}
+        rows.append(row)
+        for c, v in vector.items():
+            users.setdefault(c, []).append((row, v))
+    for i in range(1, n):
+        base = (i - 1) * n
+        for k, form in enumerate(forms[i]):
+            col = base + k
+            for c, w in form.items():
+                for row, v in users.get(c, ()):
+                    row[col] = row.get(col, 0) + w * v
+    for row in rows:
+        yield {c: v % p for c, v in row.items() if v % p}
 
 
 def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
@@ -424,8 +507,9 @@ def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:
     """dim(derivation space) - dim(inner subspace) over a field.
 
     It is 0 by the averaging argument whenever the characteristic does not
-    divide ``|G|`` (see :func:`derivation_space`); :func:`leibniz_space`
-    computes it without that argument.
+    divide ``|G|``; otherwise the derivation space comes from the Schreier
+    relators (see :func:`derivation_space`). :func:`leibniz_space` computes
+    it without either argument.
     """
     return derivation_space(sigma, tau).h1_dimension
 

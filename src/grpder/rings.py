@@ -21,6 +21,8 @@ Scalar = int | Fraction
 MAX_MODULUS = 2**31
 
 _SCALAR_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# The canonical token of a prime field: ASCII digits, no leading zero.
+_FIELD_TOKEN = re.compile(r"F[1-9][0-9]*")
 
 
 def _is_prime(n: int) -> bool:
@@ -149,7 +151,11 @@ def GF(p: int) -> PrimeField:
 
 
 def ring_from_token(token: str, p: int | None = None) -> Ring:
-    """Resolve a ring descriptor from its serialized token ("Z", "Q", "Fp", "F5")."""
+    """Resolve a ring descriptor from its serialized token ("Z", "Q", "Fp", "F5").
+
+    A prime field is named only by its canonical token ``F<p>``: "F05" or a
+    modulus in non-ASCII digits is rejected, not read as F5.
+    """
     if not isinstance(token, str):
         raise ValueError(f"ring token must be a string, got {token!r}")
     if token == "Z":
@@ -163,7 +169,7 @@ def ring_from_token(token: str, p: int | None = None) -> Ring:
         if type(p) is not int:
             raise ValueError(f"modulus must be an integer, got {p!r}")
         return GF(p)
-    if token.startswith("F") and token[1:].isdigit():
+    if _FIELD_TOKEN.fullmatch(token):
         return GF(int(token[1:]))
     raise ValueError(f"unknown ring token {token!r}")
 

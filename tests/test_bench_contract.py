@@ -43,8 +43,8 @@ def _requests():
             "op": "h1", "group": group_to_json(standard_group("C2")),
             "field": "Q", "sigma": "id", "tau": "id",
         },
-        # The characteristic divides the order: the Leibniz solver, not the
-        # separable fast path, serves this one.
+        # The characteristic divides the order: the Schreier relators, not
+        # the separable fast path, serve this one.
         "h1-char2": {
             "op": "h1", "group": group_to_json(standard_group("C2")),
             "field": "F2", "sigma": "id", "tau": "id",
@@ -93,5 +93,5 @@ def test_server_serves_each_op(perfbench_modules, op, validations):
         traced.uninstall()
     metrics = traced.metrics()
     assert metrics["derivations.is_derivation_calls"] == validations
-    # Only the Leibniz solver spans inner_space; the fast path does not.
+    # Only the Schreier path spans inner_space; the fast path does not.
     assert (metrics["derivations.inner_space_s"] > 0) == (op == "h1-char2")

@@ -34,7 +34,7 @@ from grpder import (
 from grpder import derivations
 from grpder.linalg import ExactMatrix, LinearSystem, integer_solve, smith_normal_form
 from grpder.rings import GF, QQ, ZZ
-from grpder.util import _clear_caches, check_cancel
+from grpder.util import _caches, _clear_caches, check_cancel
 
 
 class TripToken(CancelToken):
@@ -72,7 +72,7 @@ def _derivation_space_fast():
     return derivation_space(*_pair(QQ))
 
 
-def _derivation_space_leibniz():
+def _derivation_space_schreier():
     return derivation_space(*_pair(GF(3)))
 
 
@@ -128,7 +128,7 @@ def _make_from_table():
 
 CASES = {
     "derivation_space-fast-path": _derivation_space_fast,
-    "derivation_space-leibniz-path": _derivation_space_leibniz,
+    "derivation_space-schreier-path": _derivation_space_schreier,
     "leibniz_space": _leibniz_space,
     "inner_space": _inner_space,
     "twisted_centralizer": _twisted_centralizer,
@@ -173,6 +173,21 @@ def test_request_paths_check_once_per_row():
     assert _checkpoints(_inner_witness)[0] == gens * n + (n - 1)
     # The inner-space phase of leibniz_space is covered after the Leibniz rows.
     assert _checkpoints(_leibniz_space)[0] == gens * (n - 1) + _checkpoints(_inner_space)[0]
+    # One check per edge (g, s) of the Schreier walk: n - 1 tree steps and
+    # n |S| - (n - 1) relator blocks. Then the inner-space phase.
+    inner = _checkpoints(lambda: inner_space(*_pair(GF(3))))[0]
+    assert _checkpoints(_derivation_space_schreier)[0] == gens * n + inner
+
+
+def test_a_cancelled_schreier_walk_stores_nothing():
+    count, reference = _checkpoints(_derivation_space_schreier)
+    for k in range(1, count + 1):
+        _clear_caches()
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            _derivation_space_schreier()
+        assert all(len(cache) == 0 for cache in _caches)
+    assert _derivation_space_schreier() == reference
 
 
 def test_inner_witness_integer_checks_its_matrix_assembly():

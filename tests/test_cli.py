@@ -125,7 +125,7 @@ def test_h1_expectation_mismatch_exits_one(capsys, tmp_path):
 
 def test_h1_bad_field_exits_two(capsys, tmp_path):
     path = write_group(tmp_path, "S3")
-    for token in ("F4", "R", "Fp", "F", "", "F5x", "Z"):
+    for token in ("F4", "R", "Fp", "F", "", "F5x", "Z", "F02", "F\u0663"):
         code, out, err = run(capsys, "h1", "--group", path, "--field", token)
         assert code == 2
         assert out == "" and err.startswith("error: ")

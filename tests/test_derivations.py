@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from grpder import (
     conjugation_endo,
     derivation_from_images,
     derivation_space,
+    direct_product,
     endo_from_group_map,
     endo_from_images,
     extend_scalars,
@@ -244,6 +246,9 @@ def test_h1_dimension_values(s3, c2):
     assert h1_dimension(identity_endo(s3, QQ), identity_endo(s3, QQ)) == 0
     assert h1_dimension(identity_endo(c2, GF(2)), identity_endo(c2, GF(2))) == 2
     assert h1_dimension(identity_endo(s3, GF(5)), identity_endo(s3, GF(5))) == 0
+    assert h1_dimension(identity_endo(s3, GF(3)), identity_endo(s3, GF(3))) == 1
+    assert h1_dimension(identity_endo(s3, GF(2)), identity_endo(s3, GF(2))) == 2
+    assert h1_dimension(identity_endo(c2, GF(3)), identity_endo(c2, GF(3))) == 0
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -508,17 +513,75 @@ def leibniz_calls(monkeypatch):
     return calls
 
 
-def test_char_dividing_order_routes_to_leibniz(leibniz_calls, c2, s3):
-    def h1(group, ring):
-        ident = identity_endo(group, ring)
-        return derivation_space(ident, ident).h1_dimension
+# The group families of the h1-sweep benchmark workload.
+SCHREIER_GROUPS = ("S3", "D4", "Q8", "A4", "S3xC2", "Q8xC2", "D4xC2", "C8", "C10", "C12", "C14", "C16")
 
-    assert h1(c2, GF(2)) == 2
-    assert h1(s3, GF(3)) == 1
-    assert h1(s3, GF(2)) == 2
-    assert leibniz_calls == [GF(2), GF(3), GF(2)]
-    assert (h1(s3, QQ), h1(s3, GF(5)), h1(c2, GF(3))) == (0, 0, 0)
-    assert leibniz_calls == [GF(2), GF(3), GF(2)]
+
+def _named_group(name):
+    if name.count("x") == 1 and name != "C2xC2":
+        left, right = name.split("x")
+        return direct_product(standard_group(left), standard_group(right))
+    return standard_group(name)
+
+
+def _unit(group, ring, rng):
+    while True:
+        u = GroupRingElement(group, ring, [rng.randrange(ring.characteristic) for _ in range(group.order)])
+        if invert(u) is not None:
+            return u
+
+
+def _scalars(maps):
+    return [(type(v), v) for d in maps for img in d.images for v in img.coeffs]
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, p) for name in SCHREIER_GROUPS for p in (2, 3, 5, 7) if _named_group(name).order % p == 0],
+)
+def test_char_dividing_order_matches_leibniz_space(leibniz_calls, name, p):
+    # With p | |G| derivation_space solves the Schreier relators; the
+    # Leibniz system stays the reference for the basis, the inner basis and h1.
+    group = _named_group(name)
+    ring = GF(p)
+    n = group.order
+    rng = random.Random(f"{name}{p}")
+    if group.is_abelian:
+        powers = [k for k in range(1, n) if math.gcd(k, n) == 1]
+        group_maps = [[x * k % n for x in range(n)] for k in (1, powers[-1])]
+    else:
+        group_maps = [[group.conjugate(g, x) for x in range(n)] for g in (0, rng.randrange(1, n))]
+    twists = [endo_from_group_map(group, ring, m) for m in group_maps + [[0] * n]]
+    twists.append(conjugation_endo(_unit(group, ring, rng)))
+    pairs = [(twists[0], twists[0]), (twists[1], twists[0]), (twists[0], twists[1])]
+    pairs += [(twists[2], twists[0]), (twists[1], twists[2]), (twists[3], twists[0]), (twists[1], twists[3])]
+    for sigma, tau in pairs:
+        space = derivation_space(sigma, tau)
+        reference = leibniz_space(sigma, tau)
+        assert _scalars(space.basis) == _scalars(reference.basis)
+        assert _scalars(space.inner_basis) == _scalars(reference.inner_basis)
+        assert space.h1_dimension == reference.h1_dimension
+    assert leibniz_calls == []  # the reference is called directly, never through derivations
+
+
+def test_cyclic_group_has_one_relator(monkeypatch):
+    # C8 over F2 with sigma = tau = id: the one relator d(s^8) = (1 + s + ... + s^7) d(s)
+    # vanishes in characteristic 2, so every choice of d(s) is a derivation.
+    group = standard_group("C8")
+    ident = identity_endo(group, GF(2))
+    systems = []
+    init = LinearSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        systems.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearSystem, "__init__", spy)
+    space = derivation_space(ident, ident)
+    relators = next(system for system in systems if system.ncols == len(group.generators()) * group.order)
+    assert relators.rank == 0
+    assert (len(space.basis), len(space.inner_basis), space.h1_dimension) == (8, 0, 8)
+    assert _scalars(space.basis) == _scalars(leibniz_space(ident, ident).basis)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(5)])

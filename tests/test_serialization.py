@@ -96,6 +96,18 @@ def test_ring_from_token_rejects_non_integer_modulus(p):
     assert ring_from_token("Fp", 5) is GF(5)
 
 
+@pytest.mark.parametrize("token", ["F02", "F05", "F0", "F\u0663", "F\uff15", "F\u00b2", "F+5", " F5", "F5\n", "f5"])
+def test_ring_from_token_accepts_only_canonical_ascii(token):
+    # "F02" used to be served as F2, and str.isdigit let Arabic-Indic "F\u0663" through as F3.
+    with pytest.raises(ValueError, match="unknown ring token"):
+        ring_from_token(token)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_ring_from_token_reads_canonical_fields(p):
+    assert ring_from_token(f"F{p}") is GF(p)
+
+
 def test_modulus_is_bounded():
     assert GF(2**31 - 1).p == 2**31 - 1
     for p in (2**31, 2**61 - 1, 10**20 + 39):
