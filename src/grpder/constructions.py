@@ -40,12 +40,15 @@ from .group_ring import (
     identity_endo,
     invert,
 )
-from .groups import FiniteGroup, center, conjugacy_classes, direct_product
+from .groups import FiniteGroup, center, conjugacy_classes, direct_product, max_group_order
 from .rings import QQ, Ring
-from .util import DEFAULT_SEED, check_cancel
+from .util import DEFAULT_SEED, _LruCache, check_cancel
 
 UNIT_SEARCH_DRAWS = 200
 TRUNCATION_MAX_ORDER = 512
+
+# H^level for each (base, its labels, its name, level): every request for one tower gets one group object.
+_TOWERS = _LruCache()
 
 
 def commutative_derivation_form(
@@ -161,7 +164,10 @@ def build_truncation(
     not checked again here; the verification suite checks it with
     :func:`is_derivation` and against the products of
     :func:`inner_derivation`. The bundle is over ``QQ`` and its order is
-    capped at ``TRUNCATION_MAX_ORDER``.
+    capped at ``TRUNCATION_MAX_ORDER`` and at :func:`max_group_order`.
+    ``H^level`` is built once per base table, labels, name and level and
+    kept in a bounded cache, so repeated calls return the same group
+    object, with its structure and hash already computed.
     """
     if type(level) is not int:
         raise ValueError(f"level {level!r} is not an int")
@@ -191,10 +197,18 @@ def build_truncation(
         if x in central:
             raise CentralChoice(f"element {base.label(x)} is central in the base")
 
-    group = base
-    for _ in range(level - 1):
-        check_cancel()
-        group = direct_product(group, base)
+    # Read the cap before the lookup: a tower already built runs no direct_product to check it.
+    cap = max_group_order()
+    if order > cap:
+        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+    key = (base, base.labels, base.name, level)
+    group = _TOWERS.get(key)
+    if group is None:
+        group = base
+        for _ in range(level - 1):
+            check_cancel()
+            group = direct_product(group, base)
+        _TOWERS.put(key, group, base.order**2, group)  # the key holds the base's table
 
     h = base.order
     digits_weight = [h ** (level - 1 - f) for f in range(level)]

@@ -472,8 +472,9 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
     by the group, the ring and the two maps'
     :attr:`~grpder.group_ring.RingEndomorphism.content`, so a group rebuilt
     with the same table hits it, and the table is hashed once per group
-    object; it counts the table's n^2 cells, the image entries and the
-    kernel entries against the cache bound.
+    object; it counts the image entries and the kernel entries against
+    the cache bound, and the table's n^2 cells once per group object the
+    cache holds (see :meth:`~grpder.util._LruCache.put`).
     """
     group, ring = sigma.group, sigma.ring
     key = (group, ring, sigma.content, tau.content)
@@ -485,8 +486,7 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
         system.add_row(row)
     kernel = tuple(system.kernel())
     entries = len(sigma.content[1]) + len(tau.content[1])  # one numerator per image entry
-    cells = group.order**2 + entries + sum(len(vec) for _f, vec in kernel)
-    _CENTRALIZERS.put(key, kernel, cells)
+    _CENTRALIZERS.put(key, kernel, entries + sum(len(vec) for _f, vec in kernel), group)
     return kernel
 
 
@@ -653,8 +653,9 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     The matrix is the generator rows of :func:`_witness_rows`, made dense:
     one block of ``|G|`` rows per generator, one column per ``alpha_h``.
     It depends only on the pair, so its Smith factors are cached under the
-    key of :func:`_centralizer`, in a cache of their own; a repeated pair
-    reads only the right-hand side ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
+    key of :func:`_centralizer`, in a cache of their own that counts the
+    table once per group object as that one does; a repeated pair reads
+    only the right-hand side ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
     same matrix. :func:`gcd_criterion` reads every row in its own loop,
     so the two stay independent oracles.
     """
@@ -669,9 +670,9 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     if solver is None:
         rows = [[row.get(h, 0) for h in range(n)] for _i, _k, row in _witness_rows(sigma, tau)]
         solver = _SmithSolver(ExactMatrix(ZZ, rows, _validated=True))
-        # The table, the image entries as in _centralizer, U (|gens| n square) and V (n square).
-        cells = n * n + len(sigma.content[1]) + len(tau.content[1]) + (len(gens) * n) ** 2 + n * n
-        _INTEGER_FACTORS.put(key, solver, cells)
+        # The image entries as in _centralizer, U (|gens| n square) and V (n square); the table once per group.
+        cells = len(sigma.content[1]) + len(tau.content[1]) + (len(gens) * n) ** 2 + n * n
+        _INTEGER_FACTORS.put(key, solver, cells, group)
     solution = solver.solve([delta.images[i].coeffs[k] for i in gens for k in range(n)])
     if solution is None:
         return None

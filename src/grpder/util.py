@@ -58,8 +58,8 @@ def check_cancel() -> None:
 
 
 # Bounds of every content-keyed cache in the package: the number of entries,
-# and the table and matrix cells summed over the entries. An entry larger
-# than the cell bound is not stored.
+# and the table and matrix cells summed over the entries, each group's table
+# counted once. An entry larger than the cell bound is not stored.
 _CACHE_MAX_ENTRIES = 64
 _CACHE_MAX_CELLS = 1 << 16
 
@@ -73,10 +73,11 @@ class _LruCache:
     cancellation leaves nothing behind.
     """
 
-    __slots__ = ("_entries", "_cells", "_lock")
+    __slots__ = ("_entries", "_tables", "_cells", "_lock")
 
     def __init__(self) -> None:
-        self._entries: OrderedDict = OrderedDict()  # key -> (value, cells)
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, cells, group or None)
+        self._tables: dict[int, int] = {}  # id of a group held -> number of entries naming it
         self._cells = 0
         self._lock = threading.Lock()
         _caches.append(self)
@@ -101,22 +102,44 @@ class _LruCache:
             self._entries.move_to_end(key)
             return entry[0]
 
-    def put(self, key, value, cells: int) -> None:
-        if not self.fits(cells):
+    def put(self, key, value, cells: int, group=None) -> None:
+        """Store ``value`` under ``key``, counting ``cells`` and the table of ``group``.
+
+        ``group`` is a group object the entry holds. Its ``order**2`` table
+        cells are counted once while any entry of this cache names that
+        object, and released with the last of them. An entry whose cells
+        and table together exceed the cell bound is not stored.
+        """
+        table = 0 if group is None else group.order**2
+        if not self.fits(cells + table):
             return
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._cells -= old[1]
-            self._entries[key] = (value, cells)
+            if key in self._entries:
+                self._drop(key)
+            self._entries[key] = (value, cells, group)
             self._cells += cells
+            if group is not None:
+                held = self._tables.get(id(group), 0)
+                self._tables[id(group)] = held + 1
+                if not held:
+                    self._cells += table
             while len(self._entries) > _CACHE_MAX_ENTRIES or self._cells > _CACHE_MAX_CELLS:
-                _key, (_value, evicted) = self._entries.popitem(last=False)
-                self._cells -= evicted
+                self._drop(next(iter(self._entries)))
+
+    def _drop(self, key) -> None:
+        _value, cells, group = self._entries.pop(key)
+        self._cells -= cells
+        if group is not None:
+            held = self._tables.pop(id(group)) - 1
+            if held:
+                self._tables[id(group)] = held
+            else:
+                self._cells -= group.order**2
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._tables.clear()
             self._cells = 0
 
 

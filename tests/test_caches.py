@@ -32,11 +32,12 @@ from grpder import (
     standard_group,
     twisted_centralizer,
 )
-from grpder import derivations, linalg, serialization
+from grpder import constructions, derivations, linalg, serialization
 from grpder.derivations import _field_witness
+from grpder.errors import OrderCapExceeded
 from grpder.group_ring import RingEndomorphism
-from grpder.groups import center
-from grpder.linalg import ExactMatrix, integer_solve
+from grpder.groups import FiniteGroup, center
+from grpder.linalg import ExactMatrix, LinearSystem, integer_solve
 from grpder.rings import GF, QQ, ZZ
 from grpder.serialization import (
     derivation_images_from_json,
@@ -55,6 +56,13 @@ def cold_caches():
     _clear_caches()
     yield
     _clear_caches()
+
+
+def _held_cells(cache):
+    """The cells of the entries plus one table for each distinct group object they hold."""
+    entries = cache._entries.values()
+    tables = {id(group): group.order**2 for _value, _cells, group in entries if group is not None}
+    return sum(cells for _value, cells, _group in entries) + sum(tables.values())
 
 
 def _cyclic_doc(n):
@@ -410,7 +418,7 @@ def test_threads_sharing_the_caches_get_the_reference_answers(pairs):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     for cache in (serialization._GROUPS, serialization._ENDOS, derivations._INTEGER_FACTORS):
-        assert cache.cells == sum(cells for _value, cells in cache._entries.values())
+        assert cache.cells == _held_cells(cache)
 
 
 # -- field elimination -----------------------------------------------------------
@@ -429,16 +437,28 @@ def test_clear_caches_empties_the_elimination_cache():
     assert len(derivations._CENTRALIZERS) == 0 and derivations._CENTRALIZERS.cells == 0
 
 
+def _rebuilt(bundle):
+    """The bundle's derivation and pair over a new group object with the same table."""
+    group = FiniteGroup(bundle.group.table, _validated=True)
+    sigma = endo_from_group_map(group, QQ, bundle.sigma.group_map)
+    tau = identity_endo(group, QQ)
+    images = [GroupRingElement(group, QQ, image.coeffs) for image in bundle.delta.images]
+    return derivation_from_images(images, sigma, tau), sigma, tau
+
+
 def test_a_rebuilt_tower_reads_the_elimination_of_the_first(monkeypatch):
     first = _tower(1)
     witness = inner_witness(first.delta, first.sigma, first.tau)
-    rebuilt = _tower(1)
-    assert rebuilt.group is not first.group and rebuilt.sigma is not first.sigma
+    again = _tower(1)
+    assert again.group is first.group and again.sigma is not first.sigma
+    delta, sigma, tau = _rebuilt(first)
+    assert sigma.group is not first.group and sigma.group == first.group
     rows = []
     monkeypatch.setattr(derivations, "_witness_rows", lambda *a: rows.append(a) or iter(()))
-    assert inner_witness(rebuilt.delta, rebuilt.sigma, rebuilt.tau) == witness
-    support = rebuilt.embedded_indices(1)
-    assert inner_witness_with_support(rebuilt.delta, rebuilt.sigma, rebuilt.tau, support) is None
+    assert inner_witness(delta, sigma, tau) == witness
+    assert inner_witness(again.delta, again.sigma, again.tau) == witness
+    support = first.embedded_indices(1)
+    assert inner_witness_with_support(delta, sigma, tau, support) is None
     assert rows == [] and len(derivations._CENTRALIZERS) == 1
     # Another conjugator is another pair.
     monkeypatch.undo()
@@ -488,15 +508,17 @@ def test_threads_sharing_the_elimination_cache_get_the_solver_witnesses():
     for conjugator in (1, 3, 4):
         bundle = _tower(conjugator)
         args = (bundle.delta, bundle.sigma, bundle.tau)
-        cases.append((args, _field_witness(*args, None)))
+        cases.append((conjugator, _field_witness(*args, None)))
     errors = []
 
     def work(seed):
         order = random.Random(seed)
         try:
             for step in range(40):
-                args, expected = order.choice(cases)
-                assert inner_witness(*args) == expected
+                conjugator, expected = order.choice(cases)
+                # Each step builds its tower again, so the threads share the product groups as well.
+                bundle = _tower(conjugator)
+                assert inner_witness(bundle.delta, bundle.sigma, bundle.tau) == expected
                 if seed == 0 and step % 10 == 0:
                     _clear_caches()
         except Exception as exc:  # reported by the main thread
@@ -514,5 +536,91 @@ def test_threads_sharing_the_elimination_cache_get_the_solver_witnesses():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    cache = derivations._CENTRALIZERS
-    assert cache.cells == sum(cells for _value, cells in cache._entries.values())
+    for cache in (derivations._CENTRALIZERS, constructions._TOWERS):
+        assert cache.cells == _held_cells(cache)
+
+
+# -- tower groups ------------------------------------------------------------------
+
+
+def _conjugation(base, g):
+    return [base.conjugate(g, h) for h in range(base.order)]
+
+
+def _level_two_towers():
+    """Every (base, conjugator) of the tower benchmark: 28 requests on 22 distinct pairs."""
+    for name in ("S3", "Q8", "D4", "A4"):
+        base = standard_group(name)
+        z = set(center(base).members)
+        for g in range(base.order):
+            if g not in z:
+                yield base, g
+
+
+def _serve(base, g):
+    bundle = build_truncation(base, _conjugation(base, g), 2)
+    args = (bundle.delta, bundle.sigma, bundle.tau)
+    return inner_witness(*args), inner_witness_with_support(*args, bundle.embedded_indices(1))
+
+
+def test_build_truncation_returns_one_group_per_base_and_level():
+    base = standard_group("Q8")
+    first = build_truncation(base, _conjugation(base, 2), 2)
+    other_twist = build_truncation(standard_group("Q8"), _conjugation(base, 4), 2)
+    assert other_twist.group is first.group
+    assert build_truncation(base, _conjugation(base, 2), 1).group is not first.group
+    product = direct_product(base, base)
+    assert first.group == product and first.group.labels == product.labels
+    assert first.group.generators() == product.generators()
+
+
+def test_a_tower_group_carries_the_labels_and_name_of_its_own_base():
+    s3 = standard_group("S3")
+    relabelled = FiniteGroup(s3.table, labels="abcdef", name="S3", _validated=True)
+    renamed = FiniteGroup(s3.table, labels=s3.labels, name="other", _validated=True)
+    groups = []
+    for base in (s3, relabelled, renamed):
+        group = build_truncation(base, _conjugation(s3, 1), 2).group
+        product = direct_product(base, base)
+        assert group == product and (group.labels, group.name) == (product.labels, product.name)
+        groups.append(group)
+    assert groups[1].labels[7] == "(b,b)" and groups[2].name == "otherxother"
+    assert len({id(group) for group in groups}) == 3 and len(constructions._TOWERS) == 3
+
+
+@pytest.mark.parametrize("value", ["100", "abc"])
+def test_a_tower_already_built_still_reads_the_order_cap(monkeypatch, value):
+    a4 = standard_group("A4")
+    build_truncation(a4, _conjugation(a4, 1), 2)
+    monkeypatch.setenv("GRPDER_MAX_ORDER", value)
+    with pytest.raises(OrderCapExceeded):
+        build_truncation(a4, _conjugation(a4, 1), 2)
+
+
+def test_a_second_pass_over_the_tower_pairs_does_no_elimination_and_no_product(monkeypatch):
+    towers = list(_level_two_towers())
+    first = [_serve(base, g) for base, g in towers]
+    assert len(towers) == 28 and len(derivations._CENTRALIZERS) == 22 and len(constructions._TOWERS) == 4
+    calls = []
+    kernel = LinearSystem.kernel
+    monkeypatch.setattr(LinearSystem, "kernel", lambda self: calls.append("kernel") or kernel(self))
+    monkeypatch.setattr(constructions, "direct_product", lambda *a: calls.append("product") or direct_product(*a))
+    assert [_serve(base, g) for base, g in towers] == first
+    assert calls == []
+
+
+def test_many_towers_and_pairs_count_each_table_once_within_the_bound():
+    s3 = standard_group("S3")
+    labelled = FiniteGroup(s3.table, labels="abcdef", _validated=True)
+    for step, (base, g) in enumerate(_level_two_towers()):
+        bundle = build_truncation(base, _conjugation(base, g), 2)
+        inner_witness(bundle.delta, bundle.sigma, bundle.tau)
+        # The same pair over a copy of the group is another entry holding another table.
+        inner_witness(*_rebuilt(bundle))
+        # Two level-3 towers of 216^2 cells each cannot both stay.
+        build_truncation(labelled if step % 2 else s3, _conjugation(s3, 1), 3)
+        for cache in (derivations._CENTRALIZERS, constructions._TOWERS):
+            assert cache.cells == _held_cells(cache) <= _CACHE_MAX_CELLS
+            assert len(cache) <= _CACHE_MAX_ENTRIES
+    held = [group for _value, _cells, group in constructions._TOWERS._entries.values()]
+    assert sum(group.order == 216 for group in held) == 1

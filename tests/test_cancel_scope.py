@@ -110,14 +110,20 @@ def _derivation_from_images():
     return derivation_from_images(list(delta.images), sigma, tau)
 
 
-def _build_truncation(level=3):
+def _build_truncation():
+    # The product group of a tower is cached; every run counts a cold build.
+    _clear_caches()
+    return _tower(3)
+
+
+def _tower(level):
     conj = [S3.conjugate(1, h) for h in range(S3.order)]
     return build_truncation(S3, conj, level)
 
 
 def _inner_witness_with_support():
     _clear_caches()
-    bundle = _build_truncation(2)
+    bundle = _tower(2)
     support = bundle.embedded_indices(1)
     return inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support)
 
@@ -225,7 +231,7 @@ def test_a_cached_pair_checks_in_the_averaging_loop_and_the_centralizer_system(m
     assert witness == expected
     assert count == S3.order - 1  # one per averaged image, no elimination
 
-    bundle = _build_truncation(2)
+    bundle = _tower(2)
     args = (bundle.delta, bundle.sigma, bundle.tau, bundle.embedded_indices(1))
     assert inner_witness_with_support(*args) is None  # fills the cache
     calls = _count_add_row(monkeypatch)
