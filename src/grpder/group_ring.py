@@ -7,12 +7,18 @@ negation and scaling copy the coefficient list whole, products and linear
 maps start from a list of zeros, and all of them then compute only at the
 operands' support positions: k + l coefficients for a sum, k * l products
 for a product, not |G|. They hand the new support to the constructor,
-which then skips its rescan. Ring endomorphisms are stored as the images of the group basis,
-matching how twisted derivations consume them.
+which then skips its rescan. Products and linear maps sum ints: over Q each
+operand's coefficients are written as numerators over its lcm denominator,
+and each nonzero output coefficient becomes one ``Fraction`` at the end
+(over F_p the sums are reduced mod p there). Ring endomorphisms are stored
+as the images of the group basis, matching how twisted derivations consume
+them.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 
@@ -26,6 +32,7 @@ from .errors import (
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import LinearSystem
 from .rings import QQ, ZZ, Ring, Scalar
+from .util import check_cancel
 
 
 def _check_member(what: str, obj, group: FiniteGroup, ring: Ring) -> None:
@@ -149,16 +156,11 @@ class GroupRingElement:
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         _check_member("operand", other, self.group, self.ring)
         table = self.group.table
-        zero = self.ring.zero
-        sums: dict[int, Scalar] = {}
-        coeffs, ocoeffs, osupport = self.coeffs, other.coeffs, other.support
-        for i in self.support:
-            ai = coeffs[i]
-            row = table[i]
-            for j in osupport:
-                k = row[j]
-                sums[k] = sums.get(k, zero) + ai * ocoeffs[j]
-        return _from_sums(self.group, self.ring, sums)
+        (left,), left_den = _numerators(self.ring, [self])
+        (right,), right_den = _numerators(self.ring, [other])
+        osupport = other.support
+        terms = [(left[i], table[i], osupport, right) for i in self.support]
+        return _sum_of_products(self.group, self.ring, terms, left_den * right_den)
 
     def to_ring(self, ring: Ring) -> "GroupRingElement":
         """Reinterpret the same coefficients in another ring (e.g. Z -> Q)."""
@@ -177,6 +179,50 @@ def _from_sums(group: FiniteGroup, ring: Ring, sums: dict[int, Scalar]) -> Group
     for k, v in sums.items():
         vec[k] = v % p if p else v
     return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, sums))))
+
+
+def _numerators(ring: Ring, elements) -> tuple[list, int]:
+    """The coefficient vectors of ``elements`` as ints over one lcm denominator, and that denominator.
+
+    Over Z and F_p they are the coefficient vectors themselves, over 1.
+    """
+    if ring.characteristic or not ring.is_field:
+        return [e.coeffs for e in elements], 1
+    den = math.lcm(*[e.coeffs[i].denominator for e in elements for i in e.support])
+    vectors = []
+    for e in elements:
+        coeffs = e.coeffs
+        nums = [0] * len(coeffs)
+        for i in e.support:
+            v = coeffs[i]
+            nums[i] = v.numerator * (den // v.denominator)
+        vectors.append(nums)
+    return vectors, den
+
+
+def _sum_of_products(group: FiniteGroup, ring: Ring, terms, den: int) -> GroupRingElement:
+    """``(1/den) * sum a * b[j] * g_{row[j]}`` over the terms ``(a, row, indices, b)``, ``j`` in ``indices``.
+
+    The sums run over ints. Then each nonzero sum becomes one
+    ``Fraction(v, den)`` over Q, is reduced mod p over F_p and is kept over Z;
+    ``den`` is 1 over Z and F_p.
+    """
+    n = group.order
+    acc = [0] * n
+    for a, row, indices, b in terms:
+        for j in indices:
+            acc[row[j]] += a * b[j]
+    p = ring.characteristic
+    if p:
+        for k in compress(range(n), acc):
+            acc[k] %= p
+    support = tuple(compress(range(n), acc))
+    if p or not ring.is_field:
+        return GroupRingElement(group, ring, acc, _support=support)
+    vec = [ring.zero] * n
+    for k in support:
+        vec[k] = Fraction(acc[k], den)
+    return GroupRingElement(group, ring, vec, _support=support)
 
 
 def augmentation(a: GroupRingElement) -> Scalar:
@@ -218,15 +264,13 @@ def invert(a: GroupRingElement) -> GroupRingElement | None:
 def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingElement) -> GroupRingElement:
     """Evaluate the R-linear map with basis images ``images`` on ``element``."""
     _check_member("element", element, group, ring)
-    zero = ring.zero
-    sums: dict[int, Scalar] = {}
-    for i in element.support:
-        ai = element.coeffs[i]
-        img = images[i]
-        coeffs = img.coeffs
-        for k in img.support:
-            sums[k] = sums.get(k, zero) + ai * coeffs[k]
-    return _from_sums(group, ring, sums)
+    support = element.support
+    (left,), left_den = _numerators(ring, [element])
+    used = [images[i] for i in support]
+    rights, right_den = _numerators(ring, used)
+    positions = range(group.order)
+    terms = [(left[i], positions, img.support, nums) for i, img, nums in zip(support, used, rights)]
+    return _sum_of_products(group, ring, terms, left_den * right_den)
 
 
 class RingEndomorphism:
@@ -262,6 +306,7 @@ class RingEndomorphism:
         for j in self.group.generators():
             image_j = images[j]
             for i in range(self.group.order):
+                check_cancel()
                 if images[i] * image_j != images[table[i][j]]:
                     raise NotMultiplicative(i, j)
 

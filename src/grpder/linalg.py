@@ -2,12 +2,13 @@
 
 Field-side solving (kernels, particular solutions, span bases) goes through
 :class:`LinearSystem`, an incremental sparse row-echelon accumulator. Over Q
-every stored row is a primitive integer vector and elimination is
-fraction-free; rationals only appear when the reduced echelon form is
-extracted, by one back-substitution loop for Q and F_p alike. Kernels
-(sparse from :meth:`LinearSystem.kernel`, or dense), span bases and
-particular solutions are read off that form. Integer-side solvability is
-decided by Smith normal form with tracked unimodular factors.
+every stored row is a primitive integer vector, and both forward
+elimination and back-substitution are fraction-free (Bareiss): they run on
+int numerators, and rationals only appear as one ``Fraction`` per entry of
+the extracted reduced echelon form. One back-substitution loop serves Q and
+F_p alike. Kernels (sparse from :meth:`LinearSystem.kernel`, or dense), span
+bases and particular solutions are read off that form. Integer-side
+solvability is decided by Smith normal form with tracked unimodular factors.
 
 All outputs are canonical: the reduced row echelon form of a row space is
 unique, so kernel bases, span bases and the particular solution with free
@@ -94,7 +95,7 @@ class ExactMatrix:
 
 
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
-    g = math.gcd(*(abs(v) for v in row.values()))
+    g = math.gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
@@ -222,21 +223,32 @@ class LinearSystem:
     def _rref(self) -> dict[int, dict[int, Scalar]]:
         """Canonical reduced rows keyed by pivot column, leading entry 1.
 
-        Over Q each pivot row is first scaled to a leading 1 as Fractions;
-        over F_p it already leads with 1. Pivot rows never change once
-        inserted, so the cache is current while the pivot count is.
+        Back-substitution runs on the stored rows, highest pivot first,
+        fraction-free: clearing column ``c2`` of a row with the reduced row
+        ``R`` (lead ``l`` at ``c2``, entry ``f`` of the row) is
+        ``row <- (l/g) row - (f/g) R`` with ``g = gcd(l, f)``, and over Q the
+        row's content is divided out after each step. Over F_p every row
+        leads with 1, so the step is ``row <- row - f R`` mod p. Only at the
+        end does each Q entry become one ``Fraction(v, lead)``. Pivot rows
+        never change once inserted, so the cache is current while the pivot
+        count is.
         """
         if self._rref_cache is not None and self._rref_cache[0] == len(self._pivots):
             return self._rref_cache[1]
         p = self._p
-        reduced: dict[int, dict[int, Scalar]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for c in sorted(self._pivots, reverse=True):
-            piv = self._pivots[c]
-            row = dict(piv) if p else {c2: Fraction(v, piv[c]) for c2, v in piv.items()}
+            row = dict(self._pivots[c])
             for c2 in list(row):
-                if c2 != c and c2 in reduced:
+                if c2 != c and c2 in rows:
+                    reducer = rows[c2]
                     f = row.pop(c2)
-                    for c3, v in reduced[c2].items():
+                    lead = reducer[c2]
+                    if lead != 1:
+                        g = math.gcd(lead, f)
+                        m, f = lead // g, f // g
+                        row = {c3: v * m for c3, v in row.items()}
+                    for c3, v in reducer.items():
                         if c3 == c2:
                             continue
                         w = row.get(c3, 0) - f * v
@@ -246,7 +258,16 @@ class LinearSystem:
                             row[c3] = w
                         else:
                             row.pop(c3, None)
-            reduced[c] = row
+                    if not p:
+                        row = _content_reduce(row)
+            rows[c] = row
+        if p:
+            reduced = rows
+        else:
+            reduced = {}
+            for c, row in rows.items():
+                lead = row[c]
+                reduced[c] = {c2: Fraction(v, lead) for c2, v in row.items()}
         self._rref_cache = (len(self._pivots), reduced)
         return reduced
 

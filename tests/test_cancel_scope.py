@@ -19,6 +19,7 @@ from grpder import (
     conjugation_endo,
     derivation_from_images,
     derivation_space,
+    endo_from_images,
     gcd_criterion,
     identity_endo,
     inner_derivation,
@@ -132,6 +133,14 @@ def _make_from_table():
     return make_from_table(S3_TABLE)
 
 
+# Conjugation by the unit 2 + g1 of QS3: every image is dense, with denominators.
+DENSE_Q_IMAGES = conjugation_endo(GroupRingElement(S3, QQ, [2, 1, 0, 0, 0, 0])).images
+
+
+def _endo_from_images():
+    return endo_from_images(DENSE_Q_IMAGES)
+
+
 CASES = {
     "derivation_space-fast-path": _derivation_space_fast,
     "derivation_space-schreier-path": _derivation_space_schreier,
@@ -145,6 +154,7 @@ CASES = {
     "build_truncation": _build_truncation,
     "inner_witness_with_support": _inner_witness_with_support,
     "make_from_table": _make_from_table,
+    "endo_from_images-dense-Q": _endo_from_images,
 }
 
 
@@ -183,6 +193,8 @@ def test_request_paths_check_once_per_row():
     # n |S| - (n - 1) relator blocks. Then the inner-space phase.
     inner = _checkpoints(lambda: inner_space(*_pair(GF(3))))[0]
     assert _checkpoints(_derivation_space_schreier)[0] == gens * n + inner
+    # Validating basis images: one check per product phi(g) phi(s).
+    assert _checkpoints(_endo_from_images)[0] == gens * n
 
 
 def test_a_cancelled_schreier_walk_stores_nothing():

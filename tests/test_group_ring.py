@@ -482,6 +482,37 @@ def test_sparse_arithmetic_matches_dense_reference(data):
     _assert_matches(linear_extension(group, ring, images, a), _dense_linear_extension(images, a))
 
 
+_BIG_Q = st.integers(-10**9, 10**9) | st.fractions(max_denominator=10**12)
+
+
+@st.composite
+def _mixed_q_elements(draw, group):
+    """Q elements built with ``_normalized=True`` from a mix of ints and Fractions, zeros included."""
+    coeffs = [
+        draw(st.just(0) | st.just(Fraction(0)) | _BIG_Q) if draw(st.booleans()) else 0
+        for _ in range(group.order)
+    ]
+    return GroupRingElement(group, QQ, coeffs, _normalized=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_q_products_on_numerators_match_dense_reference(data):
+    group = data.draw(st.sampled_from(_KERNEL_GROUPS), label="group")
+    a = data.draw(_mixed_q_elements(group), label="a")
+    b = data.draw(_mixed_q_elements(group), label="b")
+    _assert_matches(a * b, _dense_mul(a, b))
+    _assert_matches(b * a, _dense_mul(b, a))
+    images = [data.draw(_mixed_q_elements(group), label=f"image {i}") for i in range(group.order)]
+    _assert_matches(linear_extension(group, QQ, images, a), _dense_linear_extension(images, a))
+    # (x (1 + g)) (y (1 - g)) = 0 for g of order 2: every product term cancels.
+    g = next(i for i in range(1, group.order) if group.table[i][i] == 0)
+    x, y = data.draw(_BIG_Q, label="x"), data.draw(_BIG_Q, label="y")
+    left = GroupRingElement(group, QQ, [x if i in (0, g) else 0 for i in range(group.order)], _normalized=True)
+    right = GroupRingElement(group, QQ, [y if i == 0 else -y if i == g else 0 for i in range(group.order)], _normalized=True)
+    _assert_matches(left * right, [QQ.zero] * group.order)
+
+
 @pytest.mark.parametrize("group", _KERNEL_GROUPS, ids=lambda g: g.name)
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_sparse_arithmetic_cancels_in_prime_fields(group, p):

@@ -262,3 +262,93 @@ def test_dependent_row_keeps_the_cached_reduced_rows(ring, augmented):
         assert system.kernel_basis() == reference.kernel_basis()
         assert _dense_kernel(system) == system.kernel_basis()
         assert system.span_basis() == reference.span_basis()
+
+
+def _gauss_jordan(rows, width):
+    """Reduced row echelon form of dense rows by textbook Gauss-Jordan on Fractions.
+
+    Returns ``{pivot column: {column: nonzero entry}}``, each row scaled to lead with 1.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivot_rows = {}
+    r = 0
+    for c in range(width):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_rows[c] = r
+        r += 1
+    return {c: {j: v for j, v in enumerate(m[i]) if v} for c, i in pivot_rows.items()}
+
+
+_BIG_Q = st.integers(-10**6, 10**6) | st.fractions(max_denominator=10**12) | st.just(0)
+
+
+@st.composite
+def _q_systems(draw):
+    """Rows over Q with big denominators, some of them rational combinations of earlier rows."""
+    ncols = draw(st.integers(1, 7), label="ncols")
+    augmented = draw(st.booleans(), label="augmented")
+    width = ncols + augmented
+    rows = []
+    for _ in range(draw(st.integers(1, 8), label="rows")):
+        if rows and draw(st.booleans()):
+            combo = [draw(st.sampled_from(rows)) for _ in range(draw(st.integers(1, 3)))]
+            scales = [draw(st.fractions(-9, 9, max_denominator=10**12)) for _ in combo]
+            row = [sum((s * row[c] for s, row in zip(scales, combo)), Fraction(0)) for c in range(width)]
+        else:
+            row = [draw(_BIG_Q) for _ in range(width)]
+            if draw(st.booleans()):
+                row = [-v for v in row]
+        rows.append(row)
+    return ncols, augmented, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_q_systems())
+def test_q_reduced_rows_match_a_fraction_gauss_jordan_reference(system_spec):
+    ncols, augmented, rows = system_spec
+    system = LinearSystem(ncols, QQ, augmented=augmented)
+    for row in rows:
+        coeffs = {c: v for c, v in enumerate(row[:ncols]) if v}
+        if augmented:
+            system.add_row(coeffs, row[ncols])
+        else:
+            system.add_row(coeffs)
+    reference = _gauss_jordan(rows, ncols + augmented)
+    if augmented and ncols in reference:  # a pivot in the right-hand side: 0 = 1
+        assert not system.consistent
+        assert system.particular_solution() is None
+        return
+    assert system.consistent and system.rank == len(reference)
+    reduced = system._rref()
+    assert reduced == reference
+    for c, row in reduced.items():
+        assert all(type(v) is Fraction for v in row.values())
+        assert type(row[c]) is Fraction and row[c] == 1
+    zero = Fraction(0)
+    assert system.span_basis() == [
+        [reference[c].get(j, zero) for j in range(ncols)] for c in sorted(reference)
+    ]
+    if augmented:
+        solution = [reference[c].get(ncols, zero) if c in reference else zero for c in range(ncols)]
+        assert system.particular_solution() == solution
+        assert all(type(v) is Fraction for v in solution)
+        return
+    free = [f for f in range(ncols) if f not in reference]
+    kernel = [
+        (f, {f: Fraction(1), **{c: -row[f] for c, row in reference.items() if f in row}})
+        for f in free
+    ]
+    assert system.kernel() == kernel
+    for _f, vector in system.kernel():
+        assert all(type(v) is Fraction for v in vector.values())
+        for row in rows:
+            assert sum(row[c] * v for c, v in vector.items()) == 0
