@@ -35,7 +35,6 @@ from .errors import (
 from .group_ring import (
     GroupRingElement,
     RingEndomorphism,
-    _from_sums,
     endo_from_group_map,
     identity_endo,
     invert,
@@ -167,7 +166,9 @@ def build_truncation(
     capped at ``TRUNCATION_MAX_ORDER`` and at :func:`max_group_order`.
     ``H^level`` is built once per base table, labels, name and level and
     kept in a bounded cache, so repeated calls return the same group
-    object, with its structure and hash already computed.
+    object, with its structure and hash already computed. The maps are
+    built on every call: ``sigma`` and ``tau`` take their images from the
+    group's shared basis elements, and ``delta`` is a new object each time.
     """
     if type(level) is not int:
         raise ValueError(f"level {level!r} is not an int")
@@ -231,9 +232,10 @@ def build_truncation(
         GroupRingElement.basis(group, QQ, idx) for idx in witness_indices
     )
     # tau = id and every w_f is a basis element, so d_w(g) = sum_f (w_f g - sigma(g) w_f):
-    # each coefficient is a count in [-level, level].
+    # each coefficient is a count in [-level, level], written into the image's vector in place.
     table = group.table
     scalars = {v: Fraction(v) for v in range(-level, level + 1)}
+    zero = QQ.zero
     images = []
     for g in range(order):
         row_s = table[sigma_map[g]]
@@ -243,7 +245,14 @@ def build_truncation(
             counts[k] = counts.get(k, 0) + 1
             k = row_s[w]
             counts[k] = counts.get(k, 0) - 1
-        images.append(_from_sums(group, QQ, {k: scalars[v] for k, v in counts.items()}))
+        vec = [zero] * order
+        support = []
+        for k, v in counts.items():
+            if v:
+                vec[k] = scalars[v]
+                support.append(k)
+        support.sort()
+        images.append(GroupRingElement(group, QQ, vec, _support=tuple(support)))
     delta = DerivationMap(group, QQ, sigma, tau, images, _validated=True)
     return TruncationBundle(
         base=base,

@@ -61,9 +61,10 @@ class DerivationMap:
     The constructor raises NotADerivation unless :func:`is_derivation` holds,
     so solvers need not check again. Producers that are derivations by
     construction (inner maps, solver bases, +, -, scale, to_ring) skip it.
+    ``_average`` keeps the unreduced averaged witness (see :func:`_average`).
     """
 
-    __slots__ = ("group", "ring", "sigma", "tau", "images")
+    __slots__ = ("group", "ring", "sigma", "tau", "images", "_average")
 
     def __init__(self, group, ring, sigma, tau, images, *, _validated: bool = False):
         self.group = group
@@ -71,6 +72,7 @@ class DerivationMap:
         self.sigma = sigma
         self.tau = tau
         self.images = tuple(images)
+        self._average = None
         if not _validated:
             _check_member("sigma", sigma, group, ring)
             if not is_derivation(self.images, sigma, tau):
@@ -569,14 +571,35 @@ def _averaged_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEn
     ``x tau(a) - sigma(a) x = d(a)``: substitute ``g = a h`` and expand
     ``d(a h)`` by the Leibniz rule. Every witness is ``x`` plus an element of
     the kernel, and ``x - sum_f x_f K_f`` is the one vanishing at every free
-    column ``f``, so it equals the solver's particular solution.
+    column ``f``, so it equals the solver's particular solution. ``x`` is
+    :func:`_average`, kept on ``delta``; the reduction runs on every call.
     """
-    group, ring = sigma.group, sigma.ring
+    ring = sigma.ring
+    x = list(_average(delta))
+    for f, vector in kernel:
+        xf = x[f]
+        if xf:
+            for c, v in vector.items():
+                x[c] = ring.normalize(x[c] - xf * v)
+    return x
+
+
+def _average(delta: DerivationMap) -> tuple[Scalar, ...]:
+    """``|G|^-1 sum_g d(g) tau(g^-1)`` for ``delta`` and its own ``tau``.
+
+    Computed on first use and kept on ``delta``, so every witness question
+    on one derivation object averages once. The loop polls
+    :func:`check_cancel` once per non-identity image; a cancelled run keeps
+    nothing.
+    """
+    if delta._average is not None:
+        return delta._average
+    group, ring, tau = delta.group, delta.ring, delta.tau
     n = group.order
     table = group.table
     # The sum runs over ints: numerators over common denominators (1 over F_p).
     d_den = math.lcm(*(img.coeffs[a].denominator for img in delta.images for a in img.support))
-    t_den = math.lcm(*(img.coeffs[b].denominator for img in tau.images for b in img.support))
+    t_den = math.lcm(*tau.content[2])
     sums: dict[int, int] = {}
     for g in range(1, n):
         check_cancel()
@@ -593,12 +616,8 @@ def _averaged_witness(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEn
     x = [ring.zero] * n
     for k, v in sums.items():
         x[k] = ring.normalize(v * scale)
-    for f, vector in kernel:
-        xf = x[f]
-        if xf:
-            for c, v in vector.items():
-                x[c] = ring.normalize(x[c] - xf * v)
-    return x
+    delta._average = tuple(x)
+    return delta._average
 
 
 def _canonical_witness(

@@ -76,11 +76,10 @@ class GroupRingElement:
 
     @classmethod
     def basis(cls, group: FiniteGroup, ring: Ring, index: int) -> "GroupRingElement":
+        """The basis element ``g_index``, one shared object per group object, ring and index."""
         if not 0 <= index < group.order:
             raise IndexError(f"basis index {index} out of range")
-        vec = [ring.zero] * group.order
-        vec[index] = ring.one
-        return cls(group, ring, vec, _support=(index,))
+        return _basis(group, ring, (index,))[0]
 
     @classmethod
     def from_dict(cls, group: FiniteGroup, ring: Ring, entries: dict[int, Scalar]) -> "GroupRingElement":
@@ -167,18 +166,40 @@ class GroupRingElement:
         return GroupRingElement(self.group, ring, [ring.coerce(v) for v in self.coeffs], _normalized=True)
 
 
+# Rings whose basis elements one group object keeps at once; a further ring starts afresh.
+_BASIS_RINGS_PER_GROUP = 8
+
+
+def _basis(group: FiniteGroup, ring: Ring, indices) -> list[GroupRingElement]:
+    """The basis elements ``g_i`` of ``ring[group]`` for ``i`` in ``indices``, in that order.
+
+    Each is built on first use and kept on the group object, in one list of
+    n slots per ring, so every caller shares it; elements are never mutated.
+    Only the elements asked for are built: one basis element of a large
+    group costs one n-tuple, not n of them.
+    """
+    bases = group._bases
+    if bases is None:
+        bases = group._bases = {}
+    elements = bases.get(ring)
+    if elements is None:
+        if len(bases) >= _BASIS_RINGS_PER_GROUP:
+            bases.clear()
+        elements = bases[ring] = [None] * group.order
+    out = []
+    for i in indices:
+        e = elements[i]
+        if e is None:
+            vec = [ring.zero] * group.order
+            vec[i] = ring.one
+            e = elements[i] = GroupRingElement(group, ring, vec, _support=(i,))
+        out.append(e)
+    return out
+
+
 def _with_support(group: FiniteGroup, ring: Ring, vec, touched) -> GroupRingElement:
     """Wrap normalized ``vec``, whose nonzero entries all lie at indices in ``touched``."""
     return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, touched))))
-
-
-def _from_sums(group: FiniteGroup, ring: Ring, sums: dict[int, Scalar]) -> GroupRingElement:
-    """The element with coefficient ``sums[k]`` (reduced mod p) at each key ``k``, 0 elsewhere."""
-    p = ring.characteristic
-    vec = [ring.zero] * group.order
-    for k, v in sums.items():
-        vec[k] = v % p if p else v
-    return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, sums))))
 
 
 def _numerators(ring: Ring, elements) -> tuple[list, int]:
@@ -273,6 +294,17 @@ def linear_extension(group: FiniteGroup, ring: Ring, images, element: GroupRingE
     return _sum_of_products(group, ring, terms, left_den * right_den)
 
 
+class _Content(tuple):
+    """A map's content tuple; it hashes its nested tuples on first use and keeps the hash."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 class RingEndomorphism:
     """R-linear ring endomorphism of RG given by images of the group basis."""
 
@@ -317,16 +349,17 @@ class RingEndomorphism:
     def content(self) -> tuple:
         """The images' supports, then their entries' numerators and denominators, as tuples.
 
-        With the group table and ring it determines the map. Computed on first use and kept.
+        With the group table and ring it determines the map. Computed on first use and
+        kept, as is its hash, so a cache key naming the map hashes these tuples once.
         """
         if self._content is None:
             values = [img.coeffs[k] for img in self.images for k in img.support]
             # Numerators and denominators: ints hash and compare in C, Fractions in Python.
-            self._content = (
+            self._content = _Content((
                 tuple([img.support for img in self.images]),
                 tuple(map(attrgetter("numerator"), values)),
                 tuple(map(attrgetter("denominator"), values)),
-            )
+            ))
         return self._content
 
     def to_ring(self, ring: Ring) -> "RingEndomorphism":
@@ -357,8 +390,9 @@ class RingEndomorphism:
 
 
 def identity_endo(group: FiniteGroup, ring: Ring) -> RingEndomorphism:
-    images = [GroupRingElement.basis(group, ring, i) for i in range(group.order)]
-    return RingEndomorphism(group, ring, images, group_map=range(group.order), _validated=True)
+    """The identity map; its images are the group's shared basis elements."""
+    n = group.order
+    return RingEndomorphism(group, ring, _basis(group, ring, range(n)), group_map=range(n), _validated=True)
 
 
 def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorphism:
@@ -367,7 +401,8 @@ def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorp
     The map's entries must be plain ``int`` values (not bools, floats or
     digit strings) in ``[0, n)``; anything else raises NotAHomomorphism.
     Multiplicativity is checked against the generators of ``group``, which
-    suffices as for :meth:`RingEndomorphism._validate`.
+    suffices as for :meth:`RingEndomorphism._validate`. The images are the
+    group's shared basis elements, taken by reference.
     """
     f = list(mapping)
     n = group.order
@@ -381,8 +416,7 @@ def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorp
         for i in range(n):
             if f[table[i][j]] != table[f[i]][fj]:
                 raise NotAHomomorphism(f"f(g{i}*g{j}) != f(g{i})*f(g{j})")
-    images = [GroupRingElement.basis(group, ring, f[i]) for i in range(n)]
-    return RingEndomorphism(group, ring, images, group_map=f, _validated=True)
+    return RingEndomorphism(group, ring, _basis(group, ring, f), group_map=f, _validated=True)
 
 
 def endo_from_images(images) -> RingEndomorphism:
@@ -406,8 +440,7 @@ def conjugation_endo(u: GroupRingElement) -> RingEndomorphism:
     if len(u.support) == 1 and u.coeffs[u.support[0]] in (ring.one, ring.coerce(-1)):
         g = u.support[0]
         group_map = [group.conjugate(g, i) for i in range(group.order)]
-        images = [GroupRingElement.basis(group, ring, x) for x in group_map]
-        return RingEndomorphism(group, ring, images, group_map=group_map, _validated=True)
+        return RingEndomorphism(group, ring, _basis(group, ring, group_map), group_map=group_map, _validated=True)
     if ring.is_field:
         u_inv = invert(u)
         if u_inv is None:

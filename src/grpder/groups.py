@@ -46,12 +46,14 @@ class FiniteGroup:
     they are the same object or their tables are equal; labels and names
     are ignored, and no isomorphism testing is provided. The hash is the
     table's, computed on first use and kept, so a group used as a cache key
-    hashes its n^2 cells once.
+    hashes its n^2 cells once. ``_bases`` holds the group-ring basis
+    elements of this object per ring, built on first use by
+    :meth:`grpder.group_ring.GroupRingElement.basis`.
     """
 
     __slots__ = (
         "order", "table", "labels", "name",
-        "_inverse", "_classes", "_generators", "_hash",
+        "_inverse", "_classes", "_generators", "_hash", "_bases",
     )
 
     def __init__(self, table, labels=None, name: str | None = None, *, _validated: bool = False):
@@ -66,6 +68,7 @@ class FiniteGroup:
         self._classes: tuple[Subset, ...] | None = None
         self._generators: tuple[int, ...] | None = None
         self._hash: int | None = None
+        self._bases: dict | None = None
         if not _validated:
             self.validate()
 

@@ -574,6 +574,14 @@ def test_build_truncation_returns_one_group_per_base_and_level():
     assert first.group.generators() == product.generators()
 
 
+def test_build_truncation_returns_new_maps_on_every_call():
+    base = standard_group("S3")
+    first, second = (build_truncation(base, _conjugation(base, 1), 2) for _ in range(2))
+    assert second.group is first.group
+    assert second.delta is not first.delta and second.delta == first.delta
+    assert second.sigma is not first.sigma and second.tau is not first.tau
+
+
 def test_a_tower_group_carries_the_labels_and_name_of_its_own_base():
     s3 = standard_group("S3")
     relabelled = FiniteGroup(s3.table, labels="abcdef", name="S3", _validated=True)

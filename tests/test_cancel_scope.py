@@ -237,25 +237,53 @@ def _count_add_row(monkeypatch):
 
 
 def test_a_cached_pair_checks_in_the_averaging_loop_and_the_centralizer_system(monkeypatch):
+    n = S3.order
     delta, sigma, tau = _inner_delta(QQ)
-    expected = inner_witness(delta, sigma, tau)  # fills the cache
+    expected = inner_witness(*_inner_delta(QQ))  # fills the pair cache, with another delta object
     count, witness = _checkpoints(lambda: inner_witness(delta, sigma, tau))
     assert witness == expected
-    assert count == S3.order - 1  # one per averaged image, no elimination
+    assert count == n - 1  # one per averaged image, no elimination
+    # The average is kept on the delta object: asking again polls nothing.
+    assert _checkpoints(lambda: inner_witness(delta, sigma, tau)) == (0, expected)
 
     bundle = _tower(2)
-    args = (bundle.delta, bundle.sigma, bundle.tau, bundle.embedded_indices(1))
-    assert inner_witness_with_support(*args) is None  # fills the cache
+    support = bundle.embedded_indices(1)
+    assert inner_witness_with_support(bundle.delta, bundle.sigma, bundle.tau, support) is None  # fills the cache
     calls = _count_add_row(monkeypatch)
-    count, _ = _checkpoints(lambda: inner_witness_with_support(*args))
-    # The averaging loop, then one check per row of the dim C system.
-    assert calls and count == bundle.group.order - 1 + len(calls)
-    for call in (lambda: inner_witness(delta, sigma, tau), lambda: inner_witness_with_support(*args)):
-        for k in range(1, _checkpoints(call)[0] + 1):
+    # A tower request: the full witness averages, the restricted one reuses that
+    # average and polls once per row of the dim C system.
+    tower = _tower(2)
+    args = (tower.delta, tower.sigma, tower.tau)
+    assert _checkpoints(lambda: inner_witness(*args))[0] == tower.group.order - 1
+    assert not calls
+    count, restricted = _checkpoints(lambda: inner_witness_with_support(*args, support))
+    assert restricted is None and calls and count == len(calls)
+    # The next build_truncation call returns a new delta, which averages again.
+    again = _tower(2)
+    assert again.delta is not tower.delta
+    calls.clear()
+    count, _ = _checkpoints(lambda: inner_witness_with_support(again.delta, again.sigma, again.tau, support))
+    assert count == again.group.order - 1 + len(calls)
+
+    # Every checkpoint cancels, each run on a delta that has not averaged yet.
+    # A cancelled average is not kept, so the same call then averages again;
+    # one cancelled after it keeps it.
+    def full_question():
+        return lambda: inner_witness(*_inner_delta(QQ))
+
+    def restricted_question():
+        fresh = _tower(2)
+        return lambda: inner_witness_with_support(fresh.delta, fresh.sigma, fresh.tau, support)
+
+    for make, averaging in ((full_question, n - 1), (restricted_question, tower.group.order - 1)):
+        count = _checkpoints(make())[0]
+        for k in range(1, count + 1):
             token = TripToken(k)
+            call = make()
             with pytest.raises(Cancelled), token:
                 call()
             assert token.checks == k
+            assert _checkpoints(call)[0] == (count if k <= averaging else count - averaging)
 
 
 def test_a_cancelled_elimination_stores_nothing():

@@ -34,6 +34,7 @@ from grpder.derivations import (
     twisted_centralizer,
 )
 from grpder.group_ring import RingEndomorphism, commutator_span_system, linear_extension
+from grpder.groups import FiniteGroup
 from grpder.rings import GF, QQ, ZZ
 from test_groups import brute_classes, brute_commutator_system
 
@@ -170,6 +171,42 @@ def test_endo_from_group_map_c4():
         endo_from_group_map(c4, QQ, [0, 1, 1, 1])
     with pytest.raises(NotAHomomorphism):
         endo_from_group_map(c4, QQ, [1, 0, 3, 2])
+
+
+def test_basis_elements_are_shared_per_group_object_and_ring(s3):
+    relabelled = FiniteGroup(s3.table, labels="abcdef", name="S3", _validated=True)
+    for group in (s3, relabelled):
+        bases = {}
+        for ring in (QQ, ZZ, GF(5)):
+            basis = [GroupRingElement.basis(group, ring, i) for i in range(group.order)]
+            assert all(e.group is group and e.ring == ring for e in basis)
+            assert all(a is b for a, b in zip(identity_endo(group, ring).images, basis))
+            conj = [group.conjugate(1, h) for h in range(group.order)]
+            assert all(a is basis[v] for a, v in zip(endo_from_group_map(group, ring, conj).images, conj))
+            unit = conjugation_endo(GroupRingElement.basis(group, ring, 1).scale(-1))
+            assert all(a is basis[v] for a, v in zip(unit.images, unit.group_map))
+            assert GroupRingElement.one(group, ring) is basis[0]
+            bases[ring] = basis
+        assert len({id(e) for basis in bases.values() for e in basis}) == 3 * group.order
+    assert GroupRingElement.basis(relabelled, QQ, 2) is not GroupRingElement.basis(s3, QQ, 2)
+    assert GroupRingElement.basis(relabelled, QQ, 2) == GroupRingElement.basis(s3, QQ, 2)
+    with pytest.raises(NotAHomomorphism):
+        endo_from_group_map(s3, QQ, [0, 2, 1, 3, 4, 5])
+
+
+def test_a_group_builds_only_the_basis_elements_asked_for(s3):
+    group = FiniteGroup(s3.table, _validated=True)
+    one = GroupRingElement.one(group, QQ)
+    assert [e is not None for e in group._bases[QQ]] == [True] + [False] * 5
+    assert identity_endo(group, QQ).images[0] is one
+    assert all(e is not None for e in group._bases[QQ])
+    # More rings than a group keeps: the set starts afresh instead of growing.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    assert len(primes) + 1 > group_ring._BASIS_RINGS_PER_GROUP
+    for p in primes:
+        GroupRingElement.basis(group, GF(p), 1)
+    assert len(group._bases) <= group_ring._BASIS_RINGS_PER_GROUP
+    assert GF(23) in group._bases
 
 
 def test_endo_from_images_sign_twist(c2):
