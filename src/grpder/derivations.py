@@ -12,7 +12,10 @@ averages reduced by the kernel of the pair's witness matrix, which is
 eliminated once per pair and cached. When it divides ``|G|`` the derivation
 space is solved in the values ``d(s)`` on the generators, constrained by
 the Schreier relators of a spanning tree (Fox calculus); the Leibniz system
-stays the reference both paths are tested against. Over Z innerness
+stays the reference both paths are tested against. Every derivation basis
+has one shape, the Leibniz kernel's: one vector per free column ``f`` of the
+flattened images, ascending, 1 at ``f`` and 0 at the other free columns
+(see :func:`_canonical_span`). Over Z innerness
 is decided two independent ways: an integral witness via Smith normal form,
 and a per-equation gcd divisibility test; the two act as mutual oracles.
 """
@@ -127,9 +130,9 @@ class DerivationMap:
 class DerivationSpace:
     """Full derivation space over a field, its inner subspace, and h1.
 
-    When the characteristic does not divide ``|G|`` the two spaces are
-    equal and ``inner_basis`` is the ``basis`` tuple itself; otherwise it
-    is the independent basis of :func:`inner_space`.
+    Both bases have the shape of :func:`_canonical_span`. When the
+    characteristic does not divide ``|G|`` the two spaces are equal and
+    :func:`derivation_space` returns one tuple for both.
     """
 
     group: FiniteGroup
@@ -138,7 +141,10 @@ class DerivationSpace:
     tau: RingEndomorphism
     basis: tuple[DerivationMap, ...]
     inner_basis: tuple[DerivationMap, ...]
-    h1_dimension: int
+
+    @property
+    def h1_dimension(self) -> int:
+        return len(self.basis) - len(self.inner_basis)
 
 
 def _check_same_pair(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> None:
@@ -218,7 +224,7 @@ def inner_derivation(x: GroupRingElement, sigma: RingEndomorphism, tau: RingEndo
     return DerivationMap(sigma.group, sigma.ring, sigma, tau, images, _validated=True)
 
 
-def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
+def _maps_from_vectors(vectors, sigma, tau) -> tuple[DerivationMap, ...]:
     group, ring = sigma.group, sigma.ring
     n = group.order
     maps = []
@@ -229,45 +235,28 @@ def _maps_from_vectors(vectors, sigma, tau) -> list[DerivationMap]:
                 GroupRingElement(group, ring, vec[(i - 1) * n : i * n], _normalized=True)
             )
         maps.append(DerivationMap(group, ring, sigma, tau, images, _validated=True))
-    return maps
+    return tuple(maps)
 
 
 def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
     """The derivation space over a field, its inner subspace and h1.
 
-    A spanning set of the derivations goes into one system on reversed
-    columns, and its reduced rows give the basis :func:`leibniz_space`
-    returns (one vector per free column of the Leibniz system, ascending,
-    1 there and 0 at the other free columns), scalar types included.
-
-    When the characteristic does not divide ``|G|`` every derivation is
-    inner: ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
-    ``x tau(a) - sigma(a) x = d(a)``. The spanning set is then the inner
-    rows, ``inner_basis`` is ``basis`` and h1 is 0. Otherwise it is the
-    solutions of the Schreier relators (see :func:`_relator_solutions`),
-    and ``inner_basis`` is that of :func:`inner_space`.
+    ``inner_basis`` is that of :func:`inner_space`. When the characteristic
+    does not divide ``|G|`` every derivation is inner:
+    ``x = |G|^-1 sum_g d(g) tau(g^-1)`` satisfies
+    ``x tau(a) - sigma(a) x = d(a)``. ``basis`` is then the same tuple and
+    h1 is 0. Otherwise ``basis`` spans the solutions of the Schreier
+    relators (see :func:`_relator_solutions`). Both come from
+    :func:`_canonical_span`, so ``basis`` is the one :func:`leibniz_space`
+    returns, scalar types included.
     """
-    _check_member("tau", tau, sigma.group, sigma.ring)
-    ring = sigma.ring
-    n = sigma.group.order
-    p = ring.characteristic
-    schreier = p != 0 and n % p == 0
-    last = n * (n - 1) - 1
-    system = LinearSystem(n * (n - 1), ring)
-    for row in _relator_solutions(sigma, tau) if schreier else _inner_rows(sigma, tau):
-        system.add_row({last - c: v for c, v in row.items()})
-    vectors = [vec[::-1] for vec in reversed(system.span_basis())]
-    basis = tuple(_maps_from_vectors(vectors, sigma, tau))
-    inner = tuple(inner_space(sigma, tau)) if schreier else basis
-    return DerivationSpace(
-        group=sigma.group,
-        ring=ring,
-        sigma=sigma,
-        tau=tau,
-        basis=basis,
-        inner_basis=inner,
-        h1_dimension=len(basis) - len(inner),
-    )
+    inner = inner_space(sigma, tau)
+    p = sigma.ring.characteristic
+    if p and sigma.group.order % p == 0:
+        basis = _canonical_span(_relator_solutions(sigma, tau), sigma, tau)
+    else:
+        basis = inner
+    return DerivationSpace(sigma.group, sigma.ring, sigma, tau, basis, inner)
 
 
 def _relator_solutions(sigma: RingEndomorphism, tau: RingEndomorphism):
@@ -355,9 +344,9 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationS
     generator, which has the same solutions as all pairs (see
     :func:`is_derivation`). The kernel basis comes back in the canonical
     reduced-echelon order, so it does not depend on which rows were added.
-    This is the only solver when the characteristic divides ``|G|``, and
-    the reference the fast path of :func:`derivation_space` is tested
-    against.
+    It is the reference both paths of :func:`derivation_space` are tested
+    against, and reaches that shape without :func:`_canonical_span`;
+    ``inner_basis`` is that of :func:`inner_space`.
     """
     _check_member("tau", tau, sigma.group, sigma.ring)
     ring = sigma.ring
@@ -389,16 +378,7 @@ def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationS
                 if row:
                     system.add_row(row)
     basis = _maps_from_vectors(system.kernel_basis(), sigma, tau)
-    inner = inner_space(sigma, tau)
-    return DerivationSpace(
-        group=group,
-        ring=ring,
-        sigma=sigma,
-        tau=tau,
-        basis=tuple(basis),
-        inner_basis=tuple(inner),
-        h1_dimension=len(basis) - len(inner),
-    )
+    return DerivationSpace(group, ring, sigma, tau, basis, inner_space(sigma, tau))
 
 
 def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
@@ -422,15 +402,30 @@ def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
             yield row
 
 
-def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[DerivationMap]:
-    """Canonical basis of the space of inner derivations ``x -> d_x``."""
+def inner_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[DerivationMap, ...]:
+    """Basis of the space of inner derivations ``x -> d_x``, shaped by :func:`_canonical_span`."""
     _check_member("tau", tau, sigma.group, sigma.ring)
-    ring = sigma.ring
+    return _canonical_span(_inner_rows(sigma, tau), sigma, tau)
+
+
+def _canonical_span(rows, sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[DerivationMap, ...]:
+    """The basis of the span of flattened derivation ``rows`` in the Leibniz kernel's shape.
+
+    The rows go into one system on reversed columns. Read back in column
+    order, each reduced row has its last nonzero entry, a 1, at a column
+    ``f`` and 0 at the other such columns; the rows come ascending by ``f``.
+    A Leibniz kernel vector has the same shape, with ``f`` a free column.
+    That basis of a space is unique, so every derivation basis the library
+    returns is the one :func:`leibniz_space` would, scalar types included.
+    This is the only code that reverses derivation columns.
+    """
     n = sigma.group.order
-    system = LinearSystem(n * (n - 1), ring)
-    for row in _inner_rows(sigma, tau):
-        system.add_row(row)
-    return _maps_from_vectors(system.span_basis(), sigma, tau)
+    last = n * (n - 1) - 1
+    system = LinearSystem(n * (n - 1), sigma.ring)
+    for row in rows:
+        system.add_row({last - c: v for c, v in row.items()})
+    vectors = [vec[::-1] for vec in reversed(system.span_basis())]
+    return _maps_from_vectors(vectors, sigma, tau)
 
 
 def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None):
@@ -508,10 +503,11 @@ def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[
 def h1_dimension(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:
     """dim(derivation space) - dim(inner subspace) over a field.
 
-    It is 0 by the averaging argument whenever the characteristic does not
-    divide ``|G|``; otherwise the derivation space comes from the Schreier
-    relators (see :func:`derivation_space`). :func:`leibniz_space` computes
-    it without either argument.
+    This is :attr:`DerivationSpace.h1_dimension` of :func:`derivation_space`,
+    the difference of the two basis lengths. It is 0 by the averaging
+    argument whenever the characteristic does not divide ``|G|``; otherwise
+    the derivation space comes from the Schreier relators.
+    :func:`leibniz_space` computes it without either argument.
     """
     return derivation_space(sigma, tau).h1_dimension
 

@@ -277,10 +277,10 @@ class LinearSystem:
             raise ValueError("system was not built with a right-hand side")
         if not self._consistent:
             return None
-        reduced = self._rref()
-        sol = [self.ring.zero] * self.ncols
-        for c, row in reduced.items():
-            sol[c] = self.ring.coerce(row.get(self._aug, 0))
+        zero = self.ring.zero
+        sol = [zero] * self.ncols
+        for c, row in self._rref().items():
+            sol[c] = row.get(self._aug, zero)
         return sol
 
     def kernel(self) -> list[tuple[int, dict[int, Scalar]]]:
@@ -319,7 +319,7 @@ class LinearSystem:
             vec = [self.ring.zero] * self.ncols
             for c2, v in reduced[c].items():
                 if c2 != self._aug:
-                    vec[c2] = self.ring.coerce(v)
+                    vec[c2] = v
             vectors.append(vec)
         return vectors
 

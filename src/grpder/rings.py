@@ -56,8 +56,9 @@ class Ring:
         """Post-arithmetic cleanup (reduction mod p); identity for Z and Q."""
         return value
 
-    def scalar_to_json(self, value: Scalar):
-        return int(value)
+    def coeffs_to_json(self, coeffs) -> list:
+        """JSON values of normalized coefficients, the inverse of :func:`parse_scalar`: the ints themselves."""
+        return list(coeffs)
 
     def __repr__(self) -> str:
         return self.token
@@ -100,11 +101,9 @@ class RationalField(Ring):
             return Fraction(value)
         raise ValueError(f"cannot coerce {value!r} into Q")
 
-    def scalar_to_json(self, value: Scalar):
-        value = self.coerce(value)
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+    def coeffs_to_json(self, coeffs) -> list:
+        """An integer value as its int, any other as ``"n/d"``."""
+        return [v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}" for v in coeffs]
 
 
 class PrimeField(Ring):

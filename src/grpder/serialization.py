@@ -140,7 +140,7 @@ def ring_to_json_fields(ring: Ring) -> dict:
 
 def element_to_json(element: GroupRingElement) -> dict:
     data = ring_to_json_fields(element.ring)
-    data["coeffs"] = [element.ring.scalar_to_json(v) for v in element.coeffs]
+    data["coeffs"] = element.ring.coeffs_to_json(element.coeffs)
     return data
 
 

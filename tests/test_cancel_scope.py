@@ -189,8 +189,8 @@ def test_request_paths_check_once_per_row():
     assert _checkpoints(_inner_witness)[0] == gens * n + (n - 1)
     # The inner-space phase of leibniz_space is covered after the Leibniz rows.
     assert _checkpoints(_leibniz_space)[0] == gens * (n - 1) + _checkpoints(_inner_space)[0]
-    # One check per edge (g, s) of the Schreier walk: n - 1 tree steps and
-    # n |S| - (n - 1) relator blocks. Then the inner-space phase.
+    # The inner-space phase, then one check per edge (g, s) of the Schreier
+    # walk: n - 1 tree steps and n |S| - (n - 1) relator blocks.
     inner = _checkpoints(lambda: inner_space(*_pair(GF(3))))[0]
     assert _checkpoints(_derivation_space_schreier)[0] == gens * n + inner
     # Validating basis images: one check per product phi(g) phi(s).

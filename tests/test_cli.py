@@ -578,7 +578,7 @@ def _valid_map_doc(group_name, kind, ring):
         ident = identity_endo(group, ring)
         images = inner_derivation(GroupRingElement.basis(group, ring, n - 1), ident, ident).images
     ring_fields = {"ring": "Fp", "p": ring.characteristic} if token.startswith("F") else {"ring": token}
-    return {"images": [{**ring_fields, "coeffs": [ring.scalar_to_json(v) for v in img.coeffs]} for img in images]}
+    return {"images": [{**ring_fields, "coeffs": ring.coeffs_to_json(img.coeffs)} for img in images]}
 
 
 @st.composite

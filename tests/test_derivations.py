@@ -584,6 +584,71 @@ def test_cyclic_group_has_one_relator(monkeypatch):
     assert _scalars(space.basis) == _scalars(leibniz_space(ident, ident).basis)
 
 
+def _forward_rref(rows, ring, ncols):
+    """Forward Gauss-Jordan on sparse rows: the reduced rows of their span, 1 at each first nonzero entry, by ascending pivot."""
+    p = ring.characteristic
+    reduced = {}
+    for row in rows:
+        vec = [ring.zero] * ncols
+        for c, v in row.items():
+            vec[c] = ring.coerce(v)
+        for lead, pivot_row in reduced.items():
+            f = vec[lead]
+            if f:
+                vec = [ring.normalize(a - f * b) for a, b in zip(vec, pivot_row)]
+        lead = next((c for c, v in enumerate(vec) if v), None)
+        if lead is None:
+            continue
+        scale = pow(vec[lead], p - 2, p) if p else 1 / vec[lead]
+        vec = [ring.normalize(v * scale) for v in vec]
+        for c, pivot_row in reduced.items():
+            f = pivot_row[lead]
+            if f:
+                reduced[c] = [ring.normalize(a - f * b) for a, b in zip(pivot_row, vec)]
+        reduced[lead] = vec
+    return [reduced[c] for c in sorted(reduced)]
+
+
+def _assert_kernel_shape(maps, ring):
+    # One vector per column f, ascending: its last nonzero entry is a 1 at f,
+    # and every other vector is 0 at f. Scalars are the ring's own type.
+    rows = [flat_row(d) for d in maps]
+    lasts = [max(row) for row in rows]
+    assert lasts == sorted(set(lasts))
+    for i, row in enumerate(rows):
+        assert [row.get(f, 0) for f in lasts] == [int(i == j) for j in range(len(lasts))]
+    for d in maps:
+        assert d.images[0].is_zero
+        assert {type(v) for img in d.images for v in img.coeffs} <= {type(ring.zero)}
+
+
+@pytest.mark.parametrize(
+    "name, rings",
+    [("S3", (QQ, GF(5), GF(3))), ("Q8", (QQ, GF(3), GF(2))), ("A4", (QQ, GF(5), GF(3))), ("S3xC2", (QQ, GF(5), GF(2)))],
+)
+def test_every_derivation_basis_has_the_kernel_shape(name, rings):
+    group = _named_group(name)
+    n = group.order
+    rng = random.Random(name)
+    g = rng.randrange(1, n)
+    conj = [group.conjugate(g, x) for x in range(n)]
+    for ring in rings:
+        ident = identity_endo(group, ring)
+        group_map = endo_from_group_map(group, ring, conj)
+        trivial = endo_from_group_map(group, ring, [0] * n)
+        while True:
+            u = GroupRingElement(group, ring, [rng.randrange(-2, 3) for _ in range(n)])
+            if invert(u) is not None:
+                break
+        unit = conjugation_endo(u)
+        for sigma, tau in [(group_map, ident), (ident, trivial), (unit, group_map), (group_map, unit)]:
+            inner = inner_space(sigma, tau)
+            for maps in (derivation_space(sigma, tau).basis, leibniz_space(sigma, tau).basis, inner):
+                _assert_kernel_shape(maps, ring)
+            expected = _forward_rref(derivations._inner_rows(sigma, tau), ring, n * (n - 1))
+            assert _forward_rref(map(flat_row, inner), ring, n * (n - 1)) == expected
+
+
 @pytest.mark.parametrize("ring", [QQ, GF(5)])
 def test_fast_path_honours_cancel(leibniz_calls, s3, ring):
     token = CancelToken()

@@ -586,14 +586,8 @@ def test_fast_path_matches_leibniz(name, ring, sigma_kind, tau_kind, seed):
     assert fast.h1_dimension == reference.h1_dimension == 0
     assert [derivation_to_json(d) for d in fast.basis] == [derivation_to_json(d) for d in reference.basis]
     assert _scalar_types(fast) == _scalar_types(reference)
-    # The same inner space, each side with its own canonical basis.
-    assert len(fast.inner_basis) == len(reference.inner_basis)
-    n = group.order
-    span = LinearSystem(n * n, ring)
-    for d in reference.inner_basis:
-        span.add_row({i * n + k: v for i, img in enumerate(d.images) for k, v in enumerate(img.coeffs) if v})
-    for d in fast.inner_basis:
-        assert span.contains([v for img in d.images for v in img.coeffs])
+    # Every derivation basis has one shape, so the inner bases are equal too.
+    assert fast.inner_basis == reference.inner_basis
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
