@@ -37,6 +37,7 @@ from .group_ring import (
     GroupRingElement,
     RingEndomorphism,
     _check_member,
+    _numerators,
     commutator_span_system,
     invert,
     is_central_endo,
@@ -385,11 +386,13 @@ def _inner_rows(sigma: RingEndomorphism, tau: RingEndomorphism):
     """The nonzero flattened ``d_h`` for ``h`` in the group basis; they span the inner derivations.
 
     Row ``h`` holds ``d_h(g_i)_k`` at column ``(i - 1) n + k`` for ``g_i != 1``:
-    the transpose of :func:`_witness_rows` over every non-identity element.
+    the transpose of :func:`_witness_rows` over every non-identity element,
+    so over Q it is ``d_h`` times the images' lcm denominator, in ints.
+    Scaling a row changes neither the span nor the kernel.
     """
     p = sigma.ring.characteristic
     n = sigma.group.order
-    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for i, k, row in _witness_rows(sigma, tau, range(1, n)):
         col = (i - 1) * n + k
         for h, v in row.items():
@@ -434,7 +437,9 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
     Yields ``(i, k, row)`` where ``row`` maps the coordinate of ``alpha_h``
     to ``tau(g_i)_{h^-1 x} - sigma(g_i)_{x h^-1}`` at ``x = g_k``, that is
     ``(g_h tau(g_i) - sigma(g_i) g_h)_k``, read off the images by index
-    without multiplying. Entries are not reduced mod p and may be zero.
+    without multiplying. Entries are ints: over Q each row is scaled by the
+    lcm denominator of :func:`_image_numerators`, so a right-hand side must
+    be scaled by it too. They are not reduced mod p and may be zero.
     For a derivation ``d`` the generator rows have the same solutions as
     the system over every ``g``: ``d - d_alpha`` is a derivation, and one
     vanishing on the generators vanishes everywhere by the Leibniz rule.
@@ -446,19 +451,30 @@ def _witness_rows(sigma: RingEndomorphism, tau: RingEndomorphism, elements=None)
     n = group.order
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
+    sigma_nums, tau_nums, _den = _image_numerators(sigma, tau)
     for i in group.generators() if elements is None else elements:
-        ti = tau.images[i]
-        si = sigma.images[i]
+        t_support, t_nums = tau.images[i].support, tau_nums[i]
+        s_support, s_nums = sigma.images[i].support, sigma_nums[i]
         for k in range(n):
             check_cancel()
             row_k = table[k]
             # Distinct s give distinct h in each loop, so only the second can meet a set entry.
-            row: dict[int, Scalar] = {row_k[inv[s]]: ti.coeffs[s] for s in ti.support}
-            for s in si.support:
+            row: dict[int, int] = {row_k[inv[s]]: t_nums[s] for s in t_support}
+            for s in s_support:
                 h = table[inv[s]][k]
-                v = si.coeffs[s]
+                v = s_nums[s]
                 row[h] = row[h] - v if h in row else -v
             yield i, k, row
+
+
+def _image_numerators(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[list, list, int]:
+    """The coefficient vectors of sigma's and tau's images as ints over one lcm denominator, and it.
+
+    That denominator is 1 over F_p; see :func:`~grpder.group_ring._numerators`.
+    """
+    n = sigma.group.order
+    vectors, den = _numerators(sigma.ring, [*sigma.images, *tau.images])
+    return vectors[:n], vectors[n:], den
 
 
 def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[int, dict[int, Scalar]], ...]:
@@ -543,10 +559,11 @@ def _field_witness(
     if allowed is not None:
         position = {h: pos for pos, h in enumerate(allowed)}
     system = LinearSystem(group.order if allowed is None else len(allowed), ring, augmented=True)
+    den = _image_numerators(sigma, tau)[2]
     for i, k, row in _witness_rows(sigma, tau):
         if allowed is not None:
             row = {position[h]: v for h, v in row.items() if h in position}
-        system.add_row(row, delta.images[i].coeffs[k])
+        system.add_row(row, delta.images[i].coeffs[k] * den)
         if not system.consistent:
             return None
     solution = system.particular_solution()

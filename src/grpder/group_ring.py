@@ -12,7 +12,10 @@ operand's coefficients are written as numerators over its lcm denominator,
 and each nonzero output coefficient becomes one ``Fraction`` at the end
 (over F_p the sums are reduced mod p there). Ring endomorphisms are stored
 as the images of the group basis, matching how twisted derivations consume
-them.
+them. When every image is one group element with coefficient 1 the map
+also keeps that index map, ``group_map``: multiplicativity and centrality
+are then checked on indices, and other maps are checked by products, which
+stay the reference.
 """
 
 from __future__ import annotations
@@ -197,6 +200,26 @@ def _basis(group: FiniteGroup, ring: Ring, indices) -> list[GroupRingElement]:
     return out
 
 
+def _from_ints(group: FiniteGroup, ring: Ring, values: list[int]) -> GroupRingElement:
+    """The element of ``ring[group]`` with the plain int coefficients ``values``.
+
+    Only the nonzero entries are coerced, each as :meth:`Ring.coerce` would.
+    A unit vector is the shared basis element of :func:`_basis`.
+    """
+    p = ring.characteristic
+    if p:
+        values = [v % p for v in values]
+    support = tuple(compress(range(len(values)), values))
+    if len(support) == 1 and values[support[0]] == 1:
+        return _basis(group, ring, support)[0]
+    if ring.is_field and not p:
+        vec = [ring.zero] * len(values)
+        for i in support:
+            vec[i] = Fraction(values[i])
+        values = vec
+    return GroupRingElement(group, ring, values, _support=support)
+
+
 def _with_support(group: FiniteGroup, ring: Ring, vec, touched) -> GroupRingElement:
     """Wrap normalized ``vec``, whose nonzero entries all lie at indices in ``touched``."""
     return GroupRingElement(group, ring, vec, _support=tuple(sorted(filter(vec.__getitem__, touched))))
@@ -334,6 +357,16 @@ class RingEndomorphism:
             _check_member("image", img, self.group, self.ring)
         if images[0] != GroupRingElement.one(self.group, self.ring):
             raise NotMultiplicative(0, 0, "image of the identity must be 1")
+        if all(len(img.support) == 1 for img in images):
+            f = [img.support[0] for img in images]
+            # count() tries identity before ==, and a shared basis element holds ring.one itself.
+            if [img.coeffs[i] for img, i in zip(images, f)].count(self.ring.one) == len(f):
+                # Every image is a group element: check the products on indices.
+                failure = _first_non_multiplicative(self.group, f)
+                if failure is not None:
+                    raise NotMultiplicative(*failure)
+                self.group_map = tuple(f)
+                return
         table = self.group.table
         for j in self.group.generators():
             image_j = images[j]
@@ -395,6 +428,22 @@ def identity_endo(group: FiniteGroup, ring: Ring) -> RingEndomorphism:
     return RingEndomorphism(group, ring, _basis(group, ring, range(n)), group_map=range(n), _validated=True)
 
 
+def _first_non_multiplicative(group: FiniteGroup, f) -> tuple[int, int] | None:
+    """The first ``(i, j)``, ``j`` a generator, with ``f(g_i g_j) != f(g_i) f(g_j)``, or None.
+
+    ``f`` is an index map. Pairs are tried generator by generator, ``i``
+    ascending, the order of the product check in
+    :meth:`RingEndomorphism._validate`, so both name the same failing pair.
+    """
+    table = group.table
+    for j in group.generators():
+        fj = f[j]
+        for i, fi in enumerate(f):
+            if f[table[i][j]] != table[fi][fj]:
+                return i, j
+    return None
+
+
 def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorphism:
     """Linear extension of a group endomorphism given as an index map.
 
@@ -410,12 +459,10 @@ def endo_from_group_map(group: FiniteGroup, ring: Ring, mapping) -> RingEndomorp
         raise NotAHomomorphism(f"index map must be {n} ints in [0, {n})")
     if f[0] != 0:
         raise NotAHomomorphism("map must fix the identity")
-    table = group.table
-    for j in group.generators():
-        fj = f[j]
-        for i in range(n):
-            if f[table[i][j]] != table[f[i]][fj]:
-                raise NotAHomomorphism(f"f(g{i}*g{j}) != f(g{i})*f(g{j})")
+    failure = _first_non_multiplicative(group, f)
+    if failure is not None:
+        i, j = failure
+        raise NotAHomomorphism(f"f(g{i}*g{j}) != f(g{i})*f(g{j})")
     return RingEndomorphism(group, ring, _basis(group, ring, f), group_map=f, _validated=True)
 
 
@@ -455,7 +502,17 @@ def conjugation_endo(u: GroupRingElement) -> RingEndomorphism:
 
 
 def is_central_endo(phi: RingEndomorphism) -> bool:
-    """True iff phi fixes every class sum (hence the whole center) pointwise."""
+    """True iff phi fixes every class sum (hence the whole center) pointwise.
+
+    A map with a ``group_map`` ``f`` sends a class sum ``C`` to the sum of
+    ``g_f(x)`` over its members ``x``. That is ``C`` iff the images of the
+    members, sorted, are the class: the |C| images must give every member
+    coefficient 1, so none is repeated or lies outside, in any
+    characteristic. Any other map applies itself to each class sum.
+    """
+    f = phi.group_map
+    if f is not None:
+        return all(sorted([f[x] for x in cls.members]) == list(cls.members) for cls in conjugacy_classes(phi.group))
     for class_sum in center_basis(phi.group, phi.ring):
         if phi.apply(class_sum) != class_sum:
             return False

@@ -94,6 +94,9 @@ class ExactMatrix:
         return f"ExactMatrix({self.ring}, {self.rows}x{self.cols})"
 
 
+_INT = {int}
+
+
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     if g > 1:
@@ -123,6 +126,7 @@ class LinearSystem:
         self._aug = ncols if augmented else None
         self._pivots: dict[int, dict[int, int]] = {}
         self._consistent = True
+        self._ints_cache: tuple[int, dict[int, dict[int, int]]] | None = None
         self._rref_cache: tuple[int, dict[int, dict[int, Scalar]]] | None = None
 
     @property
@@ -144,30 +148,20 @@ class LinearSystem:
 
     def _prepare(self, coeffs, rhs) -> dict[int, int] | None:
         p = self._p
-        row: dict[int, int] = {}
-        if p:
-            for c, v in coeffs.items():
-                v = self.ring.coerce(v)
-                if v:
-                    row[c] = v
-            if self._aug is not None:
-                v = self.ring.coerce(rhs)
-                if v:
-                    row[self._aug] = v
+        items = list(coeffs.items())
+        if self._aug is not None:
+            items.append((self._aug, rhs))
+        if type(rhs) is int and set(map(type, coeffs.values())) <= _INT:
+            # Rows of plain ints, as the derivation solvers build them, need no coercion.
+            row = {c: w for c, v in items if (w := v % p if p else v)}
+        elif p:
+            coerce = self.ring.coerce
+            row = {c: w for c, v in items if (w := coerce(v))}
         else:
-            items = list(coeffs.items())
-            if self._aug is not None:
-                items.append((self._aug, rhs))
-            den = 1
-            for _, v in items:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-            for c, v in items:
-                iv = v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
-                if iv:
-                    row[c] = iv
-            if row:
-                row = _content_reduce(row)
+            den = math.lcm(*[v.denominator for _, v in items])
+            row = {c: w for c, v in items if (w := v.numerator * (den // v.denominator))}
+        if row and not p:
+            row = _content_reduce(row)
         return row or None
 
     def _insert_int(self, row: dict[int, int]) -> None:
@@ -220,21 +214,20 @@ class LinearSystem:
                     merged.pop(c, None)
             row = merged
 
-    def _rref(self) -> dict[int, dict[int, Scalar]]:
-        """Canonical reduced rows keyed by pivot column, leading entry 1.
+    def _reduced_ints(self) -> dict[int, dict[int, int]]:
+        """Canonical reduced rows keyed by pivot column, as ints.
 
         Back-substitution runs on the stored rows, highest pivot first,
         fraction-free: clearing column ``c2`` of a row with the reduced row
         ``R`` (lead ``l`` at ``c2``, entry ``f`` of the row) is
         ``row <- (l/g) row - (f/g) R`` with ``g = gcd(l, f)``, and over Q the
-        row's content is divided out after each step. Over F_p every row
-        leads with 1, so the step is ``row <- row - f R`` mod p. Only at the
-        end does each Q entry become one ``Fraction(v, lead)``. Pivot rows
-        never change once inserted, so the cache is current while the pivot
-        count is.
+        row's content is divided out after each step, so each row is
+        primitive with a positive lead. Over F_p every row leads with 1, so
+        the step is ``row <- row - f R`` mod p. Pivot rows never change once
+        inserted, so the cache is current while the pivot count is.
         """
-        if self._rref_cache is not None and self._rref_cache[0] == len(self._pivots):
-            return self._rref_cache[1]
+        if self._ints_cache is not None and self._ints_cache[0] == len(self._pivots):
+            return self._ints_cache[1]
         p = self._p
         rows: dict[int, dict[int, int]] = {}
         for c in sorted(self._pivots, reverse=True):
@@ -261,7 +254,19 @@ class LinearSystem:
                     if not p:
                         row = _content_reduce(row)
             rows[c] = row
-        if p:
+        self._ints_cache = (len(self._pivots), rows)
+        return rows
+
+    def _rref(self) -> dict[int, dict[int, Scalar]]:
+        """Canonical reduced rows keyed by pivot column, leading entry 1.
+
+        They are :meth:`_reduced_ints`; over Q each entry becomes one
+        ``Fraction(v, lead)``. Cached as that is.
+        """
+        if self._rref_cache is not None and self._rref_cache[0] == len(self._pivots):
+            return self._rref_cache[1]
+        rows = self._reduced_ints()
+        if self._p:
             reduced = rows
         else:
             reduced = {}
@@ -291,13 +296,16 @@ class LinearSystem:
         """
         if self._aug is not None:
             raise ValueError("kernel basis is only defined for homogeneous systems")
-        reduced = self._rref()
-        ring = self.ring
-        vectors = {f: {f: ring.one} for f in range(self.ncols) if f not in reduced}
-        for c, row in reduced.items():
+        rows = self._reduced_ints()
+        p = self._p
+        one = self.ring.one
+        vectors = {f: {f: one} for f in range(self.ncols) if f not in rows}
+        for c, row in rows.items():
+            lead = row[c]
             for f, v in row.items():
                 if f != c:
-                    vectors[f][c] = ring.normalize(-v)
+                    # One Fraction per entry, from the int row (over F_p the lead is 1).
+                    vectors[f][c] = -v % p if p else Fraction(-v, lead)
         return list(vectors.items())
 
     def kernel_basis(self) -> list[list[Scalar]]:

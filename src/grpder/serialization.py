@@ -7,7 +7,10 @@ Endomorphism JSON: {"images": [element, ...]} with one image per basis element.
 Derivation JSON:   same shape as endomorphism JSON.
 
 Round trips are bit-exact: integers stay plain JSON integers and rationals
-serialize reduced with positive denominator.
+serialize reduced with positive denominator. A coefficient list of plain
+ints is decoded in one scan that coerces only its nonzero entries, and a
+unit vector is the group's shared basis element; any other list is read
+by ``parse_scalar``, entry by entry.
 
 Groups and endomorphisms are validated once per distinct document: a
 document whose canonical JSON text was decoded before gives the same
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 
 from .derivations import DerivationMap
-from .group_ring import GroupRingElement, RingEndomorphism, endo_from_images
+from .group_ring import GroupRingElement, RingEndomorphism, _from_ints, endo_from_images
 from .groups import FiniteGroup, make_from_table
 from .rings import Ring, parse_scalar, ring_from_token
 from .util import _LruCache
@@ -59,9 +62,10 @@ def dumps_canonical(data) -> str:
 
     The text is byte for byte ``json.dumps(data, indent=2, sort_keys=True)``
     plus a newline. CPython encodes in C only without ``indent``, so plain
-    documents are written by :func:`_indented`, which hands each list of
-    scalars (a basis coefficient vector) to the compact C encoder in one
-    call. Anything else is left to ``json.dumps`` itself.
+    documents are written by :func:`_indented`, which joins the reprs of a
+    list of plain ints (a basis coefficient vector) and hands any other list
+    of scalars to the compact C encoder in one call. Anything else is left
+    to ``json.dumps`` itself.
     """
     try:
         return _indented(data, "\n") + "\n"
@@ -78,6 +82,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 _CONTAINERS = (dict, list, tuple)
 _LEAVES = (float, bool, type(None))
+_INT = {int}
 
 
 def _indented(v, nl: str) -> str:
@@ -102,6 +107,8 @@ def _indented(v, nl: str) -> str:
                 raise _NotPlain
             parts.append(_encode_str(k) + ": " + _indented(v[k], inner))
         return "{" + inner + sep.join(parts) + nl + "}"
+    if set(map(type, v)) == _INT:
+        return "[" + inner + sep.join(map(int.__repr__, v)) + nl + "]"
     if type(v[0]) not in _CONTAINERS:
         # Split the compact text at its commas only when each one separates
         # two items: no string holds a comma and no item is a container.
@@ -153,6 +160,8 @@ def element_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None
         raise ValueError("coefficients must be a list")
     if len(coeffs) != group.order:
         raise ValueError("coefficient count does not match group order")
+    if set(map(type, coeffs)) == _INT:
+        return _from_ints(group, ring, coeffs)
     # parse_scalar returns ring.coerce of each value, so the constructor need not coerce again.
     return GroupRingElement(group, ring, [parse_scalar(ring, v) for v in coeffs], _normalized=True)
 

@@ -608,4 +608,11 @@ def test_inner_rows_match_products(name, ring, sigma_kind, tau_kind, seed):
     def entries(rows):
         return [[(c, v, type(v)) for c, v in row.items()] for row in rows]
 
-    assert entries(_inner_rows(sigma, tau)) == entries(ref_inner_rows(sigma, tau))
+    # The rows are ints: over Q each is the product-built row times the lcm
+    # denominator of the sigma and tau images (1 over F_p).
+    den = math.lcm(*sigma.content[2], *tau.content[2])
+    scaled = []
+    for row in ref_inner_rows(sigma, tau):
+        assert all((v * den).denominator == 1 for v in row.values())
+        scaled.append({c: int(v * den) for c, v in row.items()})
+    assert entries(_inner_rows(sigma, tau)) == entries(scaled)

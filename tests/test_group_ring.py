@@ -577,3 +577,140 @@ def test_basis_and_zero_match_dense_reference(group, ring):
     for index in (-1, n):
         with pytest.raises(IndexError):
             GroupRingElement.basis(group, ring, index)
+
+
+# -- index checks for group maps against the product references ----------------
+
+INDEX_GROUPS = ("S3", "D4", "Q8", "A4", "C8")
+INDEX_RINGS = (QQ, GF(2), GF(3))
+
+
+def _conjugation_and_power_maps(group):
+    n = group.order
+    maps = [[group.conjugate(x, g) for g in range(n)] for x in range(n)]
+    for k in range(n):
+        power = []
+        for g in range(n):
+            h = 0
+            for _ in range(k):
+                h = group.mul(h, g)
+            power.append(h)
+        maps.append(power)
+    return maps
+
+
+def _product_check(images):
+    """The first pair ``(i, j)``, ``j`` a generator, with ``phi(g_i) phi(g_j) != phi(g_i g_j)``, or None."""
+    group = images[0].group
+    for j in group.generators():
+        for i in range(group.order):
+            if images[i] * images[j] != images[group.mul(i, j)]:
+                return i, j
+    return None
+
+
+def _index_check(images):
+    try:
+        phi = endo_from_images(images)
+    except NotMultiplicative as exc:
+        return exc.pair
+    assert phi.group_map == tuple(img.support[0] for img in images)
+    return None
+
+
+@pytest.mark.parametrize("ring", INDEX_RINGS, ids=str)
+@pytest.mark.parametrize("name", INDEX_GROUPS)
+def test_index_check_matches_the_product_check(name, ring):
+    group = standard_group(name)
+    n = group.order
+    accepted = 0
+    for f in _conjugation_and_power_maps(group):
+        images = [GroupRingElement.basis(group, ring, v) for v in f]
+        expected = _product_check(images)
+        assert _index_check(images) == expected
+        accepted += expected is None
+        # The same map with two non-identity images swapped.
+        for a, b in [(1, n - 1), (1, 2), (n // 2, n - 1)]:
+            if f[a] != f[b]:
+                swapped = list(images)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                assert _index_check(swapped) == _product_check(swapped)
+    assert accepted > n  # every conjugation map, and the trivial and identity power maps
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)
+def test_index_check_takes_only_unit_coefficients(s3, ring):
+    # Images -g, 2g or 0 stay on the product check (over F2, -g is g), and fail where it fails.
+    one = GroupRingElement.one(s3, ring)
+    for scale in (-1, 2, 0):
+        images = [one] + [GroupRingElement.basis(s3, ring, v).scale(scale) for v in range(1, 6)]
+        with pytest.raises(NotMultiplicative) as err:
+            endo_from_images(images)
+        assert err.value.pair == _product_check(images)
+
+
+def test_group_map_images_are_validated_without_products(s3, monkeypatch):
+    f = [s3.conjugate(2, g) for g in range(6)]
+    images = [GroupRingElement.basis(s3, QQ, v) for v in f]
+    swapped = images[:1] + images[2:3] + images[1:2] + images[3:]
+    expected = _product_check(swapped)
+
+    def no_product(self, other):
+        raise AssertionError("validated by products")
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", no_product)
+    assert endo_from_images(images).group_map == tuple(f)
+    with pytest.raises(NotMultiplicative) as err:
+        endo_from_images(swapped)
+    assert err.value.pair == expected
+    assert is_central_endo(endo_from_images(images))
+
+
+def test_group_maps_reject_with_the_same_pair_either_way(s3):
+    # endo_from_group_map names the pair the product check of the same images names.
+    f = [s3.conjugate(1, g) for g in range(6)]
+    f[1], f[2] = f[2], f[1]
+    images = [GroupRingElement.basis(s3, QQ, v) for v in f]
+    i, j = _product_check(images)
+    with pytest.raises(NotAHomomorphism, match=rf"f\(g{i}\*g{j}\)"):
+        endo_from_group_map(s3, QQ, f)
+    with pytest.raises(NotMultiplicative) as err:
+        endo_from_images(images)
+    assert err.value.pair == (i, j)
+
+
+def _class_sum_check(phi):
+    return all(phi.apply(c) == c for c in center_basis(phi.group, phi.ring))
+
+
+@pytest.mark.parametrize("ring", INDEX_RINGS, ids=str)
+@pytest.mark.parametrize("name", INDEX_GROUPS)
+def test_centrality_by_index_matches_the_class_sums(name, ring):
+    group = standard_group(name)
+    n = group.order
+    maps = [
+        f
+        for f in _conjugation_and_power_maps(group)
+        if _product_check([GroupRingElement.basis(group, ring, v) for v in f]) is None
+    ]
+    assert [0] * n in maps
+    seen = set()
+    for f in maps:
+        phi = endo_from_group_map(group, ring, f)
+        assert phi.group_map is not None
+        central = is_central_endo(phi)
+        assert central == _class_sum_check(phi)
+        seen.add(central)
+    assert not is_central_endo(endo_from_group_map(group, ring, [0] * n))
+    assert seen == {True, False}
+
+
+def test_centrality_of_maps_without_a_group_map(s3):
+    # The sign twist of C2 and a dense conjugation take the class-sum path.
+    c2 = standard_group("C2")
+    sign = endo_from_images([GroupRingElement.one(c2, QQ), GroupRingElement(c2, QQ, [0, -1])])
+    assert sign.group_map is None
+    assert is_central_endo(sign) == _class_sum_check(sign) is False
+    dense = conjugation_endo(GroupRingElement(s3, QQ, [2, 1, 0, 0, 0, 0]))
+    assert dense.group_map is None
+    assert is_central_endo(dense) == _class_sum_check(dense) is True

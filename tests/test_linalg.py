@@ -352,3 +352,21 @@ def test_q_reduced_rows_match_a_fraction_gauss_jordan_reference(system_spec):
         assert all(type(v) is Fraction for v in vector.values())
         for row in rows:
             assert sum(row[c] * v for c, v in vector.items()) == 0
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_kernel_reads_the_integer_rows(ring):
+    # The kernel is built from the fraction-free reduced rows, one scalar per
+    # entry: the Fraction form of the reduced rows is never made for it.
+    system = LinearSystem(5, ring)
+    for coeffs in ({0: 3, 1: 2, 3: -1}, {1: 4, 2: 6, 4: 1}, {0: 1, 4: Fraction(1, 2) if ring == QQ else 4}):
+        system.add_row(coeffs)
+    kernel = system.kernel()
+    assert system._rref_cache is None
+    reduced = system._rref()
+    assert kernel == [
+        (f, {f: ring.one, **{c: ring.normalize(-row[f]) for c, row in reduced.items() if f in row}})
+        for f in range(5)
+        if f not in reduced
+    ]
+    assert {type(v) for _f, vector in kernel for v in vector.values()} == {type(ring.one)}

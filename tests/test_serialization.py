@@ -73,14 +73,74 @@ def test_rational_serialization_format():
 
 def test_element_json_errors():
     c2 = standard_group("C2")
-    with pytest.raises(ValueError):
-        element_from_json(c2, {"ring": "Q", "coeffs": [1]})
+    for coeffs in ([1], [0, 0, 0], []):
+        with pytest.raises(ValueError, match="coefficient count does not match group order"):
+            element_from_json(c2, {"ring": "Q", "coeffs": coeffs})
     with pytest.raises(ValueError):
         element_from_json(c2, {"ring": "Q", "coeffs": [1, 2]}, expected_ring=ZZ)
     with pytest.raises(ValueError):
         element_from_json(c2, {"ring": "Fp", "coeffs": [1, 2]})
     with pytest.raises(ValueError, match="must be a list"):
         element_from_json(c2, {"ring": "Q", "coeffs": "12"})
+
+
+def _parsed_element(group, data):
+    """``element_from_json`` as it reads a list that is not all ints: ``parse_scalar`` per entry."""
+    ring = ring_from_token(data["ring"], data.get("p"))
+    if len(data["coeffs"]) != group.order:
+        raise ValueError("coefficient count does not match group order")
+    return GroupRingElement(group, ring, [parse_scalar(ring, v) for v in data["coeffs"]], _normalized=True)
+
+
+_INT_RINGS = [
+    ({"ring": "Z"}, ZZ),
+    ({"ring": "Q"}, QQ),
+    ({"ring": "Fp", "p": 2}, GF(2)),
+    ({"ring": "F3"}, GF(3)),
+    ({"ring": "F7"}, GF(7)),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_INT_RINGS),
+    st.lists(st.integers(-9, 9) | st.integers() | st.just(0) | st.just(1), min_size=6, max_size=6),
+)
+def test_int_coefficients_decode_as_parse_scalar_does(ring_case, coeffs):
+    fields, ring = ring_case
+    s3 = standard_group("S3")
+    data = {**fields, "coeffs": coeffs}
+    element = element_from_json(s3, data)
+    reference = _parsed_element(s3, data)
+    assert element == reference
+    assert [type(v) for v in element.coeffs] == [type(v) for v in reference.coeffs]
+    assert {type(v) for v in element.coeffs} == {Fraction if ring == QQ else int}
+    assert element.support == reference.support
+    if ring.characteristic:
+        assert all(0 <= v < ring.characteristic for v in element.coeffs)
+
+
+@pytest.mark.parametrize("fields, ring", _INT_RINGS, ids=[str(ring) for _fields, ring in _INT_RINGS])
+def test_an_int_unit_vector_decodes_to_the_shared_basis_element(fields, ring):
+    s3 = standard_group("S3")
+    for i in range(6):
+        coeffs = [0] * 6
+        coeffs[i] = 1 + ring.characteristic  # 1 in the ring, as written or not reduced
+        assert element_from_json(s3, {**fields, "coeffs": coeffs}) is GroupRingElement.basis(s3, ring, i)
+    minus = element_from_json(s3, {**fields, "coeffs": [0, -1, 0, 0, 0, 0]})
+    assert minus == GroupRingElement.basis(s3, ring, 1).scale(-1)
+
+
+@pytest.mark.parametrize("fields, ring", _INT_RINGS, ids=[str(ring) for _fields, ring in _INT_RINGS])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1e9", None, [1]], ids=repr)
+def test_non_int_coefficients_fail_as_parse_scalar_does(fields, ring, bad):
+    s3 = standard_group("S3")
+    data = {**fields, "coeffs": [1, 0, bad, 2, 0, 0]}
+    with pytest.raises(ValueError) as expected:
+        _parsed_element(s3, data)
+    with pytest.raises(ValueError) as err:
+        element_from_json(s3, data)
+    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("token", [["Q"], None, 5, {"F": 5}, b"Q"])
@@ -200,6 +260,11 @@ class _Dict(dict):
     pass
 
 
+class _Int(int):
+    def __repr__(self) -> str:
+        return "_Int"
+
+
 _STRINGS = st.text(alphabet=st.sampled_from(',"[]{}\\/() ab1éλ∂ 😀\x00'), max_size=6) | st.text(max_size=4)
 _LEAVES = (
     st.integers()
@@ -254,6 +319,15 @@ def test_dumps_canonical_matches_the_json_reference(data):
         [1, "[x]", 2],
         [True, False, None, 1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
         [10**80, -(10**80), "-7/3"],
+        [True, 1],
+        [1, True],
+        {"coeffs": [0, False]},
+        [-1, -(2**70)],
+        [2**64, 2**64 + 1, -(2**64)],
+        [_Int(5), 1],
+        {"coeffs": [1, _Int(-2)]},
+        [1, "a", -3],
+        ["a", 1],
         (1, (2, 3), ()),
         {"t": (1, "a")},
         _Dict(b=1, a=[1, 2]),
@@ -270,6 +344,23 @@ def test_dumps_canonical_matches_the_json_reference(data):
 )
 def test_dumps_canonical_matches_the_json_reference_on_edge_cases(data):
     assert dumps_canonical(data) == _reference(data)
+
+
+_FLAT_LEAVES = (
+    st.integers(-5, 5)
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**64 + 2).flatmap(lambda v: st.sampled_from([v, -v]))
+    | st.booleans()
+    | st.integers(-3, 3).map(_Int)
+    | st.sampled_from(["a", "1/2", "-7/3", "a,b", ""])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_FLAT_LEAVES, min_size=1, max_size=8) | st.lists(st.integers(), min_size=1, max_size=8))
+def test_flat_lists_match_the_json_reference(values):
+    for data in (values, {"coeffs": values}, [values, values]):
+        assert dumps_canonical(data) == _reference(data)
 
 
 def test_dumps_canonical_raises_as_the_reference_does():
