@@ -18,6 +18,9 @@ flattened images, ascending, 1 at ``f`` and 0 at the other free columns
 (see :func:`_canonical_span`). Over Z innerness
 is decided two independent ways: an integral witness via Smith normal form,
 and a per-equation gcd divisibility test; the two act as mutual oracles.
+Work that depends only on the pair is done once per pair and cached under
+its content: the witness matrix's kernel or Smith factors, the row gcds,
+and, from a pair's second validation on, a basis of its Leibniz rows.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import mod, mul
 
 from .errors import (
     MixedRings,
@@ -51,12 +56,18 @@ from .linalg import (
     integer_solve,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 )
 from .rings import QQ, ZZ, Ring, Scalar
-from .util import _LruCache, check_cancel
+from .util import _CACHE_MAX_CELLS, _LruCache, check_cancel
 
 # Smith factors of the integral witness matrix of a pair, keyed by its content.
 _INTEGER_FACTORS = _LruCache()
 # Kernel of the field witness matrix of a pair, keyed by its content.
 _CENTRALIZERS = _LruCache()
+# Row gcds of the matrix of x -> d_x over Z, per image, keyed by the pair's content.
+_ROW_GCDS = _LruCache()
+# Leibniz row basis of a pair (see is_derivation), or one of these marks, keyed by its content.
+_SEEN = object()  # validated once, by every row
+_EVERY_ROW = object()  # the basis outgrows the cell bound: every validation checks every row
+_LEIBNIZ_BASES = _LruCache()
 
 
 class DerivationMap:
@@ -162,17 +173,59 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> boo
     ``d(g w s) = d(g w) tau(s) + sigma(g w) d(s)
     = d(g) tau(w s) + sigma(g) (d(w) tau(s) + sigma(w) d(s))``, and the
     bracket is ``d(w s)``. The argument holds over Z, Q and F_p alike.
+
+    The rule on ``(g, s)`` is a block of linear rows ``(g, s, k)`` in the
+    coefficients of ``d``, and rows that span the row space vanish on ``d``
+    exactly when every row does. The first validation of a pair checks
+    every row (:func:`_leibniz_holds`). The second builds the pair's row
+    basis (:func:`_leibniz_basis`) and caches it under the key of
+    :func:`_centralizer`; from then on only the basis rows are evaluated,
+    in one pass. A pair whose basis outgrows the cache's cell bound keeps
+    checking every row.
     """
     if isinstance(images, DerivationMap):
         images = images.images
     images = list(images)
     _check_member("tau", tau, sigma.group, sigma.ring)
-    if len(images) != sigma.group.order:
+    group = sigma.group
+    if len(images) != group.order:
         raise ValueError("need one candidate image per group basis element")
     for img in images:
-        _check_member("candidate image", img, sigma.group, sigma.ring)
+        _check_member("candidate image", img, group, sigma.ring)
     if not images[0].is_zero:
         return False
+    key = (group, sigma.ring, sigma.content, tau.content)
+    basis = _LEIBNIZ_BASES.get(key)
+    if basis is _SEEN:
+        cells = _content_cells(sigma, tau)
+        basis = _leibniz_basis(sigma, tau, _CACHE_MAX_CELLS - cells - group.order**2)
+        if basis is None:
+            basis = _EVERY_ROW
+        else:
+            cells += len(basis[0]) + len(basis[2])
+        _LEIBNIZ_BASES.put(key, basis, cells, group)
+    if basis is None or basis is _EVERY_ROW:
+        holds = _leibniz_holds(images, sigma, tau)
+        if basis is None:
+            _LEIBNIZ_BASES.put(key, _SEEN, _content_cells(sigma, tau), group)
+        return holds
+    check_cancel()
+    cols, vals, ends = basis
+    flat = list(chain.from_iterable(img.coeffs for img in images))
+    # Row r is the difference of the running sums at ends[r] and ends[r - 1]: all rows vanish iff these do.
+    sums = list(accumulate(map(mul, vals, map(flat.__getitem__, cols))))
+    p = sigma.ring.characteristic
+    if p:
+        return not any(v % p for v in map(sums.__getitem__, ends))
+    return not any(map(sums.__getitem__, ends))
+
+
+def _leibniz_holds(images: list, sigma: RingEndomorphism, tau: RingEndomorphism) -> bool:
+    """Every Leibniz block ``d(g) tau(s) + sigma(g) d(s) - d(g s)``, ``g != 1``, vanishes.
+
+    The reference check of :func:`is_derivation`, by products of the
+    images; it polls :func:`check_cancel` once per block.
+    """
     group = sigma.group
     table = group.table
     n = group.order
@@ -208,6 +261,83 @@ def is_derivation(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> boo
             elif any(acc.values()):
                 return False
     return True
+
+
+def _leibniz_basis(sigma: RingEndomorphism, tau: RingEndomorphism, budget: int):
+    """The Leibniz rows of :func:`is_derivation` that raise the rank, compiled, or None.
+
+    The rank is over Q for Z and Q, and over F_p for F_p. The rows are
+    sorted by the walk of :func:`_schreier_walk`. A tree edge ``(g, s)``,
+    ``g != 1``, reaches a new element ``h = g s``: its block is ``-1`` at
+    ``d(h)_k`` in row ``k``, and no block before it in the walk reads
+    ``d(h)``, so all tree rows are independent. A relator edge's row is,
+    modulo the tree rows, the form the walk yields for it, so it raises the
+    rank exactly when its form raises the rank of the forms before it: only
+    those forms are eliminated, in ``|S| n`` columns. Blocks of edges from 1
+    are zero. When the characteristic does not divide ``|G|`` every
+    derivation is inner, so the forms' rank is known in advance, ``|S| n``
+    minus the rank of ``x -> d_x``; once it is reached the walk only lists
+    the tree rows left. Rows are kept times the walk's denominator ``den``.
+
+    Returns ``(cols, vals, ends)``: the rows' terms one after another, as
+    positions in the concatenated coefficient vectors of the images and
+    coefficients, and the position of each row's last term. None, before
+    the walk or during it, when the forms and terms held pass ``budget``
+    cells.
+    """
+    group = sigma.group
+    n = group.order
+    p = sigma.ring.characteristic
+    gens = group.generators()
+    # Each tree row holds at least three terms, tau(s) and sigma(g) being units, and an end.
+    if 4 * n * (n - 1 - len(gens)) > budget:
+        return None
+    table = group.table
+    inv = [group.inverse(i) for i in range(n)]
+    sigma_nums, tau_nums, den = _image_numerators(sigma, tau)
+    system = LinearSystem(len(gens) * n, sigma.ring if p else QQ)
+    target = None
+    if not p or n % p:
+        # Every derivation is inner (see derivation_space), so the forms reach rank
+        # |S| n - dim Der = |S| n - rank(x -> d_x), and every later row is dependent.
+        witness = LinearSystem(n, system.ring)
+        for _i, _k, row in _witness_rows(sigma, tau):
+            witness.add_row(row)
+        target = len(gens) * n - witness.rank
+    cols: list[int] = []
+    vals: list[int] = []
+    ends: list[int] = []
+
+    def compile_row(g, s, h, k):
+        t_support, t_nums = tau.images[s].support, tau_nums[s]
+        s_support, s_nums = sigma.images[g].support, sigma_nums[g]
+        cols.extend([g * n + table[k][inv[b]] for b in t_support])
+        vals.extend([t_nums[b] for b in t_support])
+        cols.extend([s * n + table[inv[a]][k] for a in s_support])
+        vals.extend([s_nums[a] for a in s_support])
+        if h:
+            cols.append(h * n + k)
+            vals.append(-den)
+        ends.append(len(cols) - 1)
+
+    cells = 0
+    for g, s, h, tree, forms in _schreier_walk(sigma, tau, lambda: system.rank != target):
+        if tree:
+            if g:
+                for k in range(n):
+                    compile_row(g, s, h, k)
+            if forms is not None:
+                cells += sum(map(len, forms))
+        elif forms is not None:
+            for k, form in enumerate(forms):
+                if form:
+                    rank = system.rank
+                    system.add_row(form)
+                    if system.rank > rank:
+                        compile_row(g, s, h, k)
+        if cells + len(cols) + len(ends) > budget:
+            return None
+    return tuple(cols), tuple(vals), tuple(ends)
 
 
 def derivation_from_images(images, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:
@@ -263,60 +393,27 @@ def derivation_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> Derivati
 def _relator_solutions(sigma: RingEndomorphism, tau: RingEndomorphism):
     """Flattened derivations over F_p spanning the derivation space (Fox calculus).
 
-    A derivation is fixed by its values ``d(s)`` on the generators. A
-    breadth-first Schreier tree from 1, by right multiplication, writes
-    every ``d(g)`` as linear forms in the ``|S| n`` unknowns ``d(s)_k``:
-    along a tree edge ``d(g s) = d(g) tau(s) + sigma(g) d(s)``. Each other
-    edge ``(g, s)`` is a Schreier relator and adds the block of ``n`` rows
-    ``d(g) tau(s) + sigma(g) d(s) - d(g s) = 0``. Then the Leibniz rule
-    holds on every pair ``(g, s)`` and ``d(1) = 0``, which is exactly a
-    derivation (see :func:`is_derivation`). Yields one sparse row per
-    kernel vector, ``d(g_i)_k`` at column ``(i - 1) n + k``, and polls
-    :func:`check_cancel` once per tree step or relator block.
+    A derivation is fixed by its values ``d(s)`` on the generators.
+    :func:`_schreier_walk` writes every ``d(g)`` as linear forms in the
+    ``|S| n`` unknowns ``d(s)_k`` along a spanning tree, and each other
+    edge ``(g, s)`` is a Schreier relator: its block of ``n`` forms
+    ``d(g) tau(s) + sigma(g) d(s) - d(g s)`` must vanish. Then the Leibniz
+    rule holds on every pair ``(g, s)`` and ``d(1) = 0``, which is exactly
+    a derivation (see :func:`is_derivation`). Yields one sparse row per
+    kernel vector, ``d(g_i)_k`` at column ``(i - 1) n + k``.
     """
     group = sigma.group
     n = group.order
     p = sigma.ring.characteristic
-    table = group.table
-    gens = group.generators()
-    system = LinearSystem(len(gens) * n, sigma.ring)
-    forms: list[list[dict[int, int]] | None] = [None] * n
-    forms[0] = [{} for _ in range(n)]
-    reached = [0]
-    for g in reached:  # grows while it is read: breadth first
-        dg = forms[g]
-        sg = sigma.images[g]
-        for j, s in enumerate(gens):
-            check_cancel()
-            ts = tau.images[s]
-            image: list[dict[int, int]] = [{} for _ in range(n)]
-            for a, form in enumerate(dg):
-                if form:
-                    row = table[a]
-                    for b in ts.support:
-                        acc = image[row[b]]
-                        v = ts.coeffs[b]
-                        for c, w in form.items():
-                            acc[c] = acc.get(c, 0) + v * w
-            base = j * n
-            for a in sg.support:
-                v = sg.coeffs[a]
-                row = table[a]
-                for b in range(n):
-                    acc = image[row[b]]
-                    acc[base + b] = acc.get(base + b, 0) + v
-            h = table[g][s]
-            known = forms[h]
-            if known is None:
-                forms[h] = [{c: w % p for c, w in acc.items() if w % p} for acc in image]
-                reached.append(h)
-                continue
-            for acc, form in zip(image, known):
-                for c, w in form.items():
-                    acc[c] = acc.get(c, 0) - w
-                acc = {c: w % p for c, w in acc.items() if w % p}
-                if acc:
-                    system.add_row(acc)
+    system = LinearSystem(len(group.generators()) * n, sigma.ring)
+    forms: list[list[dict[int, int]] | None] = [None] * n  # every g != 1 is reached by a tree edge
+    for _g, _s, h, tree, block in _schreier_walk(sigma, tau):
+        if tree:
+            forms[h] = block
+        else:
+            for row in block:
+                if row:
+                    system.add_row(row)
     # Evaluate the forms at every kernel vector at once, column by column.
     kernel = system.kernel()
     users: dict[int, list[tuple[dict[int, int], int]]] = {}
@@ -335,6 +432,82 @@ def _relator_solutions(sigma: RingEndomorphism, tau: RingEndomorphism):
                     row[col] = row.get(col, 0) + w * v
     for row in rows:
         yield {c: v % p for c, v in row.items() if v % p}
+
+
+def _schreier_walk(sigma: RingEndomorphism, tau: RingEndomorphism, more=None):
+    """The edges ``(g, s)`` of a breadth-first Schreier tree from 1, with Fox forms.
+
+    Right multiplication by the generators reaches every element, breadth
+    first. Every ``d(g)`` is a linear form in the ``|S| n`` unknowns
+    ``d(s)_k``, at column ``j n + k`` for the ``j``-th generator: along a
+    tree edge ``d(g s) = d(g) tau(s) + sigma(g) d(s)``. Yields
+    ``(g, s, h, tree, forms)`` for each edge, ``h = g s``, and polls
+    :func:`check_cancel` once per edge. For a tree edge ``forms`` are the
+    ``n`` forms of ``d(h)_k``; for another edge, a Schreier relator, the
+    ``n`` forms of ``d(g) tau(s) + sigma(g) d(s) - d(h)``. Forms map columns
+    to ints, reduced mod p. They are computed on the int numerators of
+    :func:`_image_numerators` over their denominator ``den`` (1 but over
+    Q): the form of ``d(h)`` is kept times ``den`` to the depth of ``h`` in
+    the tree, a relator's times ``den`` to the depth of ``g`` plus one.
+    Once ``more()`` is false, ``forms`` is None and no form is computed.
+    """
+    group = sigma.group
+    n = group.order
+    p = sigma.ring.characteristic
+    table = group.table
+    gens = group.generators()
+    sigma_nums, tau_nums, den = _image_numerators(sigma, tau)
+
+    def reduced(form):
+        if p:
+            return {c: r for c, w in form.items() if (r := w % p)}
+        return {c: w for c, w in form.items() if w}
+
+    forms: list[list[dict[int, int]] | None] = [None] * n
+    forms[0] = [{} for _ in range(n)]
+    depth: list[int | None] = [None] * n
+    depth[0] = 0
+    reached = [0]
+    for g in reached:  # grows while it is read: breadth first
+        dg = forms[g]
+        s_support, s_nums = sigma.images[g].support, sigma_nums[g]
+        for j, s in enumerate(gens):
+            check_cancel()
+            h = table[g][s]
+            tree = depth[h] is None
+            if tree:
+                depth[h] = depth[g] + 1
+                reached.append(h)
+            if more is not None and not more():
+                yield g, s, h, tree, None
+                continue
+            t_support, t_nums = tau.images[s].support, tau_nums[s]
+            image: list[dict[int, int]] = [{} for _ in range(n)]
+            for a, form in enumerate(dg):
+                if form:
+                    row = table[a]
+                    for b in t_support:
+                        acc = image[row[b]]
+                        v = t_nums[b]
+                        for c, w in form.items():
+                            acc[c] = acc.get(c, 0) + v * w
+            base = j * n
+            scale = den ** depth[g]
+            for a in s_support:
+                v = s_nums[a] * scale
+                row = table[a]
+                for b in range(n):
+                    acc = image[row[b]]
+                    acc[base + b] = acc.get(base + b, 0) + v
+            if tree:
+                forms[h] = [reduced(acc) for acc in image]
+                yield g, s, h, tree, forms[h]
+                continue
+            lift = den ** (depth[g] + 1 - depth[h])
+            for acc, form in zip(image, forms[h]):
+                for c, w in form.items():
+                    acc[c] = acc.get(c, 0) - lift * w
+            yield g, s, h, tree, [reduced(acc) for acc in image]
 
 
 def leibniz_space(sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationSpace:
@@ -498,9 +671,13 @@ def _centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple[tuple[
     for _i, _k, row in _witness_rows(sigma, tau):
         system.add_row(row)
     kernel = tuple(system.kernel())
-    entries = len(sigma.content[1]) + len(tau.content[1])  # one numerator per image entry
-    _CENTRALIZERS.put(key, kernel, entries + sum(len(vec) for _f, vec in kernel), group)
+    _CENTRALIZERS.put(key, kernel, _content_cells(sigma, tau) + sum(len(vec) for _f, vec in kernel), group)
     return kernel
+
+
+def _content_cells(sigma: RingEndomorphism, tau: RingEndomorphism) -> int:
+    """The cells a pair's cache key holds: one numerator per image entry of the two maps."""
+    return len(sigma.content[1]) + len(tau.content[1])
 
 
 def twisted_centralizer(sigma: RingEndomorphism, tau: RingEndomorphism) -> list[GroupRingElement]:
@@ -687,9 +864,9 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     It depends only on the pair, so its Smith factors are cached under the
     key of :func:`_centralizer`, in a cache of their own that counts the
     table once per group object as that one does; a repeated pair reads
-    only the right-hand side ``delta(g_i)_k``. The witness is that of :func:`integer_solve` on the
-    same matrix. :func:`gcd_criterion` reads every row in its own loop,
-    so the two stay independent oracles.
+    only the right-hand side ``delta(g_i)_k``. The witness is that of
+    :func:`integer_solve` on the same matrix. :func:`gcd_criterion` reads
+    every row in its own loop, so the two stay independent oracles.
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"integer witness requires Z coefficients, got {sigma.ring}")
@@ -702,9 +879,8 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
     if solver is None:
         rows = [[row.get(h, 0) for h in range(n)] for _i, _k, row in _witness_rows(sigma, tau)]
         solver = _SmithSolver(ExactMatrix(ZZ, rows, _validated=True))
-        # The image entries as in _centralizer, U (|gens| n square) and V (n square); the table once per group.
-        cells = len(sigma.content[1]) + len(tau.content[1]) + (len(gens) * n) ** 2 + n * n
-        _INTEGER_FACTORS.put(key, solver, cells, group)
+        # The image entries as in _centralizer, the kept Smith entries; the table once per group.
+        _INTEGER_FACTORS.put(key, solver, _content_cells(sigma, tau) + solver.cells, group)
     solution = solver.solve([delta.images[i].coeffs[k] for i in gens for k in range(n)])
     if solution is None:
         return None
@@ -714,26 +890,52 @@ def inner_witness_integer(delta: DerivationMap, sigma: RingEndomorphism, tau: Ri
 def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> bool:
     """Per-coefficient divisibility test for innerness over Z.
 
-    It reads every row, not only the generator rows the witness solvers
-    use, so that it stays an oracle independent of them. For every pair
-    ``(g, x)`` the row coefficients are
+    For every pair ``(g, x)`` the row coefficients are
     ``tau(g)_{h^-1 x} - sigma(g)_{x h^-1}`` as ``h`` runs over the group;
-    the test asks that their gcd divide the coefficient of ``x`` in ``d(g)``,
-    with the convention that 0 divides only 0. The coefficients are read
-    directly off the endomorphism images, not through the witness solver.
+    the test asks that their gcd divide the coefficient of ``x`` in
+    ``d(g)``, with the convention that 0 divides only 0. The gcds depend
+    only on the pair: they are computed by :func:`_row_gcds` and cached
+    under the key of :func:`_centralizer`, and a repeated pair only tests
+    ``d`` against the entries whose gcd is not 1, polling
+    :func:`check_cancel` once per image.
     """
     if sigma.ring != ZZ:
         raise MixedRings(f"gcd criterion requires Z coefficients, got {sigma.ring}")
     _check_same_pair(delta, sigma, tau)
     group = sigma.group
+    key = (group, ZZ, sigma.content, tau.content)
+    tests = _ROW_GCDS.get(key)
+    if tests is None:
+        tests = _row_gcds(sigma, tau)
+        cells = sum(len(zeros) + len(xs) for zeros, xs, _gs in tests)
+        _ROW_GCDS.put(key, tests, _content_cells(sigma, tau) + cells, group)
+    for img, (zeros, xs, gs) in zip(delta.images, tests):
+        check_cancel()
+        m = img.coeffs
+        if (zeros and any(map(m.__getitem__, zeros))) or (xs and any(map(mod, map(m.__getitem__, xs), gs))):
+            return False
+    return True
+
+
+def _row_gcds(sigma: RingEndomorphism, tau: RingEndomorphism) -> tuple:
+    """Per image ``g``: the ``x`` whose row gcd is 0, and the ``x`` and gcd of the rows whose gcd exceeds 1.
+
+    It reads every row, not only the generator rows the witness solvers
+    use, so that :func:`gcd_criterion` stays an oracle independent of
+    them; the coefficients are read directly off the endomorphism images,
+    not through :func:`_witness_rows`. Polls :func:`check_cancel` once per
+    image.
+    """
+    group = sigma.group
     n = group.order
     table = group.table
     inv = [group.inverse(i) for i in range(n)]
+    tests = []
     for i in range(n):
         check_cancel()
         c_coeffs = tau.images[i].coeffs
         b_coeffs = sigma.images[i].coeffs
-        m_coeffs = delta.images[i].coeffs
+        zeros, xs, gs = [], [], []
         for x in range(n):
             row_x = table[x]
             g = 0
@@ -744,13 +946,13 @@ def gcd_criterion(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomo
                     g = math.gcd(g, diff)
                     if g == 1:
                         break
-            m = m_coeffs[x]
             if g == 0:
-                if m != 0:
-                    return False
-            elif m % g:
-                return False
-    return True
+                zeros.append(x)
+            elif g > 1:
+                xs.append(x)
+                gs.append(g)
+        tests.append((tuple(zeros), tuple(xs), tuple(gs)))
+    return tuple(tests)
 
 
 def extend_scalars(delta: DerivationMap, sigma: RingEndomorphism, tau: RingEndomorphism) -> DerivationMap:

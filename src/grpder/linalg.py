@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotAField
 from .rings import ZZ, Ring, Scalar, require_same_ring
@@ -508,20 +509,23 @@ def smith_normal_form(matrix: ExactMatrix) -> SNFDecomposition:
 class _SmithSolver:
     """The Smith factors of one integer matrix, for solving ``A x = b`` with many ``b``.
 
-    Only U, the diagonal of S and V are kept; building the solver is the
-    one Smith normal form run, and each :meth:`solve` is two products and
-    a divisibility test.
+    Building the solver is the one Smith normal form run. It keeps the rows
+    of U and the columns of V as sparse ``(indices, values)`` pairs, and the
+    diagonal of S: on the witness matrices U is mostly zero, and ``x = V y``
+    reads only the columns where ``y`` is nonzero. ``cells`` counts the
+    kept entries.
     """
 
-    __slots__ = ("rows", "U", "diagonal", "V")
+    __slots__ = ("rows", "u_rows", "diagonal", "v_cols", "cells")
 
     def __init__(self, matrix: ExactMatrix) -> None:
         # A module-namespace call, so perfbench/tracer.py counts every factorization.
         snf = smith_normal_form(matrix)
         self.rows = matrix.rows
-        self.U = snf.U
+        self.u_rows = [_sparse(row) for row in snf.U.entries]
         self.diagonal = snf.diagonal
-        self.V = snf.V
+        self.v_cols = [_sparse(col) for col in zip(*snf.V.entries)]
+        self.cells = len(self.diagonal) + sum(len(idx) for idx, _ in self.u_rows + self.v_cols)
 
     def solve(self, rhs) -> list[int] | None:
         """With ``U A V = S`` the system becomes ``S y = U b``; each coordinate is
@@ -530,20 +534,34 @@ class _SmithSolver:
         """
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        c = self.U.mul_vec(rhs)
-        y = [0] * self.V.rows
-        for i, d in enumerate(self.diagonal):
-            if d == 0:
-                if c[i] != 0:
+        if set(map(type, rhs)) != _INT:
+            rhs = [ZZ.coerce(v) for v in rhs]
+        get = rhs.__getitem__
+        diagonal = self.diagonal
+        k = len(diagonal)
+        y = []
+        for i, (idx, vals) in enumerate(self.u_rows):
+            c = sum(map(mul, vals, map(get, idx)))
+            d = diagonal[i] if i < k else 0
+            if d:
+                q, r = divmod(c, d)
+                if r:
                     return None
-            else:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-        for i in range(len(self.diagonal), self.rows):
-            if c[i] != 0:
+                if q:
+                    y.append((q, self.v_cols[i]))
+            elif c:
                 return None
-        return self.V.mul_vec(y)
+        x = [0] * len(self.v_cols)
+        for q, (idx, vals) in y:
+            for r, v in zip(idx, vals):
+                x[r] += q * v
+        return x
+
+
+def _sparse(entries) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions and values of the nonzero ``entries``."""
+    idx = tuple(i for i, v in enumerate(entries) if v)
+    return idx, tuple(entries[i] for i in idx)
 
 
 def integer_solve(matrix: ExactMatrix, rhs) -> list[int] | None:

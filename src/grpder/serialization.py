@@ -170,13 +170,46 @@ def endo_to_json(endo: RingEndomorphism) -> dict:
     return {"images": [element_to_json(img) for img in endo.images]}
 
 
+def _images_error(data) -> str | None:
+    """What makes ``data`` no images document, named by its field, or None.
+
+    Called only once decoding has raised KeyError or TypeError, so that a
+    valid document pays for no checks.
+    """
+    if not isinstance(data, dict):
+        return f"document must be an object with an 'images' list, got {type(data).__name__}"
+    if "images" not in data:
+        return "document has no 'images' field"
+    images = data["images"]
+    if not isinstance(images, list):
+        return f"'images' must be a list, got {type(images).__name__}"
+    for i, item in enumerate(images):
+        if not isinstance(item, dict):
+            return f"image {i} must be an object, got {type(item).__name__}"
+        for field in ("ring", "coeffs"):
+            if field not in item:
+                return f"image {i} has no '{field}' field"
+    return None
+
+
+def _decode_images(data, decode):
+    """``decode()``, with a KeyError or TypeError of a malformed document turned into a ValueError naming the field."""
+    try:
+        return decode()
+    except (KeyError, TypeError) as exc:
+        message = _images_error(data)
+        if message is None:
+            raise
+        raise ValueError(message) from exc
+
+
 def endo_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None = None) -> RingEndomorphism:
     def decode():
         return endo_from_images(element_from_json(group, item, expected_ring) for item in data["images"])
 
     # The group is keyed by identity; the endomorphism holds it, so its id
     # is not reused while the entry lives. Cells: the images and the table.
-    return _decoded(_ENDOS, (id(group), expected_ring), data, 2 * group.order**2, decode)
+    return _decoded(_ENDOS, (id(group), expected_ring), data, 2 * group.order**2, lambda: _decode_images(data, decode))
 
 
 def derivation_to_json(delta: DerivationMap) -> dict:
@@ -185,7 +218,7 @@ def derivation_to_json(delta: DerivationMap) -> dict:
 
 def derivation_images_from_json(group: FiniteGroup, data: dict, expected_ring: Ring | None = None) -> list[GroupRingElement]:
     """Parse candidate derivation images, one per basis element; Leibniz validation happens separately."""
-    images = [element_from_json(group, item, expected_ring) for item in data["images"]]
+    images = _decode_images(data, lambda: [element_from_json(group, item, expected_ring) for item in data["images"]])
     if len(images) != group.order:
         raise ValueError(f"need one image per group basis element, got {len(images)} for order {group.order}")
     return images

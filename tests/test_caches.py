@@ -21,6 +21,7 @@ from grpder import (
     build_truncation,
     conjugation_endo,
     derivation_from_images,
+    derivation_space,
     direct_product,
     endo_from_group_map,
     gcd_criterion,
@@ -29,10 +30,13 @@ from grpder import (
     inner_witness,
     inner_witness_integer,
     inner_witness_with_support,
+    is_derivation,
+    leibniz_space,
     standard_group,
     twisted_centralizer,
 )
 from grpder import constructions, derivations, linalg, serialization
+from grpder.cli import main
 from grpder.derivations import _field_witness
 from grpder.errors import OrderCapExceeded
 from grpder.group_ring import RingEndomorphism
@@ -367,8 +371,8 @@ def test_a_cold_call_factors_once_and_a_repeat_does_no_pair_work(pairs, monkeypa
     cold_checks, first = _counted(lambda: inner_witness_integer(delta, sigma, tau))
     assert len(calls) == 1 and cold_checks > 0
     # Equal content, new objects: the same entry answers, and each new map's content is computed once.
-    again = derivation_from_images(list(delta.images), _endo(group, "bicyclic"), _endo(group, "conj"))
     computed = _count_contents(monkeypatch)
+    again = derivation_from_images(list(delta.images), _endo(group, "bicyclic"), _endo(group, "conj"))
     warm_checks, second = _counted(lambda: inner_witness_integer(again, again.sigma, again.tau))
     assert warm_checks == 0 and len(calls) == 1
     assert second == first
@@ -419,6 +423,185 @@ def test_threads_sharing_the_caches_get_the_reference_answers(pairs):
     assert errors == []
     for cache in (serialization._GROUPS, serialization._ENDOS, derivations._INTEGER_FACTORS):
         assert cache.cells == _held_cells(cache)
+
+
+# -- Leibniz row bases and row gcds -------------------------------------------------
+
+
+def _field_pairs():
+    """(name, sigma, tau) over Q, over F_p with p not dividing |G|, and with p dividing it."""
+    s3, a4, d4, q8 = (standard_group(name) for name in ("S3", "A4", "D4", "Q8"))
+    cases = [
+        # Conjugation by the unit 2 + g1 of QS3: dense images with denominators.
+        ("S3-Q-dense", conjugation_endo(GroupRingElement(s3, QQ, [2, 1, 0, 0, 0, 0])), identity_endo(s3, QQ)),
+        ("A4-Q-bicyclic", conjugation_endo(_bicyclic_unit(a4, QQ, 1, 4)), identity_endo(a4, QQ)),
+        ("S3-F5", _conj_by_index(s3, GF(5), 1), _conj_by_index(s3, GF(5), 3)),
+        ("Q8-F3", _conj_by_index(q8, GF(3), 2), identity_endo(q8, GF(3))),
+        ("S3-F3", _conj_by_index(s3, GF(3), 1), identity_endo(s3, GF(3))),
+        ("D4-F2", _conj_by_index(d4, GF(2), 4), endo_from_group_map(d4, GF(2), [0, 1, 2, 3, 5, 6, 7, 4])),
+    ]
+    return {name: (sigma, tau) for name, sigma, tau in cases}
+
+
+FIELD_PAIRS = _field_pairs()
+
+
+def _field_deltas(rng, sigma, tau, count):
+    """Random combinations of the derivation space's basis: inner or not when p divides |G|."""
+    ring = sigma.ring
+    basis = derivation_space(sigma, tau).basis
+    deltas = []
+    for _ in range(count):
+        images = [GroupRingElement.zero(sigma.group, ring)] * sigma.group.order
+        for d in basis:
+            c = ring.coerce(rng.randint(-3, 3))
+            images = [a + b.scale(c) for a, b in zip(images, d.images)]
+        deltas.append(images)
+    return deltas
+
+
+def _basis_of(sigma, tau):
+    return derivations._LEIBNIZ_BASES.get((sigma.group, sigma.ring, sigma.content, tau.content))
+
+
+def _three_checks(images, sigma, tau):
+    """The first validation, the one that builds the basis, a warm one, and the full loop, on a cold cache."""
+    _clear_caches()
+    answers = [is_derivation(images, sigma, tau) for _ in range(3)]
+    return answers + [derivations._leibniz_holds(images, sigma, tau)]
+
+
+Z_CASES = [f"{name}-Z" for name, _s, _t in PAIRS]
+
+
+def _case_pair(case, pairs):
+    """The maps of a case, and whether they carry the sign twist."""
+    if case in FIELD_PAIRS:
+        return (*FIELD_PAIRS[case], False)
+    _group, sigma, tau, sign = pairs[Z_CASES.index(case)]
+    return sigma, tau, sign
+
+
+@pytest.mark.parametrize("case", [*Z_CASES, *FIELD_PAIRS])
+def test_the_row_basis_check_agrees_with_every_row_on_derivations(case, pairs):
+    sigma, tau, sign = _case_pair(case, pairs)
+    group = sigma.group
+    n = group.order
+    rng = random.Random(11)
+    if sigma.ring == ZZ:
+        # With the sign twist, every other delta is inner over Q but not over Z.
+        deltas = [list(_delta(rng, group, sigma, tau, not (sign and k % 2)).images) for k in range(4)]
+    else:
+        deltas = _field_deltas(rng, sigma, tau, 4)
+    for images in deltas:
+        assert _three_checks(images, sigma, tau) == [True] * 4
+    basis = _basis_of(sigma, tau)
+    assert isinstance(basis, tuple)
+    # One row per unit of rank: n (n - 1) unknowns d(g)_k, g != 1, less the dimension of the derivations.
+    field = QQ if sigma.ring == ZZ else sigma.ring
+    dim = len(leibniz_space(sigma.to_ring(field), tau.to_ring(field)).basis)
+    _cols, _vals, ends = basis
+    assert len(ends) == n * (n - 1) - dim
+
+
+@pytest.mark.parametrize("case", ["S3-Z", "A4-Z", "S3-Q-dense", "S3-F3"])
+def test_the_row_basis_check_rejects_every_single_coefficient_corruption(case, pairs):
+    sigma, tau, _sign = _case_pair(case, pairs)
+    group, ring = sigma.group, sigma.ring
+    n = group.order
+    images = list(inner_derivation(GroupRingElement(group, ring, [1, -2, 0, 3] + [1] * (n - 4)), sigma, tau).images)
+    assert _three_checks(images, sigma, tau) == [True] * 4
+    basis = _basis_of(sigma, tau)
+    assert isinstance(basis, tuple)
+    for i in range(1, n):
+        for k in range(n):
+            coeffs = list(images[i].coeffs)
+            coeffs[k] = coeffs[k] + ring.one
+            corrupted = images[:i] + [GroupRingElement(group, ring, coeffs)] + images[i + 1 :]
+            assert not is_derivation(corrupted, sigma, tau)
+            assert not derivations._leibniz_holds(corrupted, sigma, tau)
+    assert _basis_of(sigma, tau) is basis  # every check above read the basis
+
+
+def test_a_pair_whose_basis_outgrows_the_bound_checks_every_row(pairs, monkeypatch):
+    group, sigma, tau, _sign = pairs[3]
+    images = list(_delta(random.Random(2), group, sigma, tau, True).images)
+    # Room for the pre-check of the tree rows, not for the whole basis.
+    n = group.order
+    room = 4 * n * (n - 1 - len(group.generators())) + 1
+    monkeypatch.setattr(derivations, "_CACHE_MAX_CELLS", derivations._content_cells(sigma, tau) + n * n + room)
+    calls = []
+    holds = derivations._leibniz_holds
+    monkeypatch.setattr(derivations, "_leibniz_holds", lambda *args: calls.append(1) or holds(*args))
+    assert _three_checks(images, sigma, tau)[:3] == [True] * 3
+    assert _basis_of(sigma, tau) is derivations._EVERY_ROW and len(calls) == 4  # with the reference
+    coeffs = list(images[1].coeffs)
+    coeffs[0] += 1
+    assert not is_derivation([images[0], GroupRingElement(group, ZZ, coeffs), *images[2:]], sigma, tau)
+
+
+def _reference_gcd_criterion(delta, sigma, tau):
+    """Row by row, from the products ``h tau(g) - sigma(g) h`` of basis elements."""
+    group = sigma.group
+    n = group.order
+    basis = [GroupRingElement.basis(group, ZZ, h) for h in range(n)]
+    for i in range(n):
+        columns = [b * tau.images[i] - sigma.images[i] * b for b in basis]
+        for x in range(n):
+            g = math.gcd(*(col.coeffs[x] for col in columns))
+            m = delta.images[i].coeffs[x]
+            if (g == 0 and m != 0) or (g and m % g):
+                return False
+    return True
+
+
+def test_the_warm_gcd_criterion_equals_a_row_by_row_reference(pairs):
+    rng = random.Random(31)
+    answers = set()
+    for group, sigma, tau, sign in pairs:
+        n = group.order
+        for k in range(6):
+            delta = _delta(rng, group, sigma, tau, not (sign and k % 2))
+            if k >= 4:  # any integer images: the criterion is a test of the coefficients alone
+                images = [GroupRingElement(group, ZZ, [v + rng.choice((0, 0, 1, 2)) for v in img.coeffs]) for img in delta.images]
+                delta = DerivationMap(group, ZZ, sigma, tau, images, _validated=True)
+            expected = _reference_gcd_criterion(delta, sigma, tau)
+            assert gcd_criterion(delta, sigma, tau) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+    cache = derivations._ROW_GCDS
+    assert len(cache) == len(pairs) and cache.cells == _held_cells(cache)
+
+
+def test_the_new_caches_count_their_cells(pairs):
+    rng = random.Random(4)
+    for group, sigma, tau, _sign in pairs:
+        for _ in range(2):
+            delta = derivation_from_images(list(_delta(rng, group, sigma, tau, True).images), sigma, tau)
+            gcd_criterion(delta, sigma, tau)
+            inner_witness_integer(delta, sigma, tau)
+    for cache in (derivations._LEIBNIZ_BASES, derivations._ROW_GCDS, derivations._INTEGER_FACTORS):
+        assert len(cache) == len(pairs) and cache.cells == _held_cells(cache) <= _CACHE_MAX_CELLS
+    for group, sigma, tau, _sign in pairs:
+        cols, _vals, ends = _basis_of(sigma, tau)
+        _value, cells, _group = derivations._LEIBNIZ_BASES._entries[(group, ZZ, sigma.content, tau.content)]
+        assert cells == derivations._content_cells(sigma, tau) + len(cols) + len(ends)
+
+
+def test_a_one_shot_inner_check_builds_no_row_basis(pairs, tmp_path, capsys, monkeypatch):
+    group, sigma, tau, _sign = pairs[6]
+    delta = _delta(random.Random(5), group, sigma, tau, True)
+    files = {"group": group_to_json(group), "sigma": endo_to_json(sigma), "delta": derivation_to_json(delta)}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = ["inner-check", "--ring", "Z", *(f"--{name}={tmp_path / name}.json" for name in files)]
+    calls = []
+    build = derivations._leibniz_basis
+    monkeypatch.setattr(derivations, "_leibniz_basis", lambda *args: calls.append(1) or build(*args))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["inner"] is True
+    assert calls == []
+    assert [value for value, _cells, _group in derivations._LEIBNIZ_BASES._entries.values()] == [derivations._SEEN]
 
 
 # -- field elimination -----------------------------------------------------------

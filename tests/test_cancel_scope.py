@@ -106,9 +106,24 @@ def _gcd_criterion():
     return gcd_criterion(*_inner_delta(ZZ))
 
 
+def _cold_gcd_criterion():
+    # The row gcds of a pair are cached; every run counts a cold call.
+    _clear_caches()
+    return gcd_criterion(*_inner_delta(ZZ))
+
+
 def _derivation_from_images():
+    # The row basis of a pair is cached; every run counts a first validation.
+    _clear_caches()
     delta, sigma, tau = _inner_delta(QQ)
     return derivation_from_images(list(delta.images), sigma, tau)
+
+
+def _derivation_from_images_by_row_basis():
+    # Every row, then the basis build, then a check of the basis rows alone.
+    _clear_caches()
+    delta, sigma, tau = _inner_delta(QQ)
+    return [derivation_from_images(list(delta.images), sigma, tau) for _ in range(3)]
 
 
 def _build_truncation():
@@ -150,7 +165,9 @@ CASES = {
     "inner_witness": _inner_witness,
     "inner_witness_integer": _inner_witness_integer,
     "gcd_criterion": _gcd_criterion,
+    "gcd_criterion-cold": _cold_gcd_criterion,
     "derivation_from_images": _derivation_from_images,
+    "derivation_from_images-row-basis": _derivation_from_images_by_row_basis,
     "build_truncation": _build_truncation,
     "inner_witness_with_support": _inner_witness_with_support,
     "make_from_table": _make_from_table,
@@ -227,6 +244,58 @@ def test_a_cancelled_cold_factorization_stores_nothing():
     reference = integer_solve(ExactMatrix(ZZ, rows), rhs)
     assert list(inner_witness_integer(delta, sigma, tau).coeffs) == reference
     assert len(derivations._INTEGER_FACTORS) == 1
+
+
+def test_a_cancelled_row_basis_build_stores_nothing():
+    delta, sigma, tau = _inner_delta(QQ)
+    images = list(delta.images)
+    cache = derivations._LEIBNIZ_BASES
+
+    def validated_once():
+        _clear_caches()
+        derivation_from_images(images, sigma, tau)  # every row; the pair is marked
+        (entry,) = cache._entries.values()
+        assert entry[0] is derivations._SEEN
+        return entry
+
+    marked = validated_once()
+    count, _ = _checkpoints(lambda: derivation_from_images(images, sigma, tau))
+    assert count > 1  # the build's walk, then one check of the basis rows
+    for k in range(1, count + 1):
+        assert validated_once() == marked
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            derivation_from_images(images, sigma, tau)
+        (entry,) = cache._entries.values()
+        value = entry[0]
+        if k < count:
+            assert entry == marked and cache.cells == marked[1] + S3.order**2
+        else:  # cancelled at the check of the basis rows, once the basis is stored
+            assert isinstance(value, tuple)
+    assert _checkpoints(lambda: derivation_from_images(images, sigma, tau))[0] == 1
+
+
+def test_a_cancelled_cold_gcd_criterion_stores_nothing():
+    delta, sigma, tau = _inner_delta(ZZ)
+    count, expected = _checkpoints(_cold_gcd_criterion)
+    assert count == 2 * S3.order  # the row gcds, then the test of delta, once per image each
+    for k in range(1, count + 1):
+        _clear_caches()
+        token = TripToken(k)
+        with pytest.raises(Cancelled), token:
+            gcd_criterion(delta, sigma, tau)
+        # Nothing until the gcds are complete; a cancelled test of delta keeps them.
+        assert len(derivations._ROW_GCDS) == (k > S3.order)
+    assert gcd_criterion(delta, sigma, tau) == expected
+    assert len(derivations._ROW_GCDS) == 1
+
+
+def test_a_warm_gcd_criterion_polls_once_per_image(monkeypatch):
+    delta, sigma, tau = _inner_delta(ZZ)
+    _clear_caches()
+    expected = gcd_criterion(*_inner_delta(ZZ))  # fills the cache, with other objects
+    monkeypatch.setattr(derivations, "_row_gcds", None)  # a warm call computes no gcd
+    assert _checkpoints(lambda: gcd_criterion(delta, sigma, tau)) == (S3.order, expected)
 
 
 def _count_add_row(monkeypatch):

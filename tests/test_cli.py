@@ -530,6 +530,34 @@ def test_delta_with_wrong_image_count_exits_two(capsys, tmp_path, command, image
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["inner-check", "gcd-criterion", "h1"])
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ({"images": [{"ring": "Z"}, {"ring": "Z", "coeffs": [0, 1]}]}, "image 0 has no 'coeffs' field"),
+        ({"images": [{"ring": "Z", "coeffs": [0, 0]}, {"coeffs": [0, 1]}]}, "image 1 has no 'ring' field"),
+        ({"images": [{"ring": "Z", "coeffs": [0, 0]}, 7]}, "image 1 must be an object, got int"),
+        ({"images": "ab"}, "'images' must be a list, got str"),
+        ({"image": []}, "document has no 'images' field"),
+        ([{"ring": "Z", "coeffs": [0, 0]}], "document must be an object with an 'images' list, got list"),
+    ],
+    ids=["no-coeffs", "no-ring", "int-image", "string-images", "no-images", "list-document"],
+)
+def test_malformed_map_document_names_the_field(capsys, tmp_path, command, doc, message):
+    path = write_group(tmp_path, "C2")
+    doc_path = tmp_path / "map.json"
+    doc_path.write_text(json.dumps(doc))
+    if command == "h1":
+        argv, what = ["--sigma", str(doc_path), "--field", "Q"], "endomorphism"
+        doc_path.write_text(json.dumps(doc).replace('"Z"', '"Q"'))
+    else:
+        argv, what = ["--delta", str(doc_path)] + (["--ring", "Z"] if command == "inner-check" else []), "derivation"
+    code, out, err = run(capsys, command, "--group", path, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid {what} file {doc_path}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "images",
     [

@@ -16,7 +16,7 @@ from grpder import (
     smith_normal_form,
     solve,
 )
-from grpder.linalg import rank
+from grpder.linalg import _SmithSolver, rank
 from grpder.rings import GF, QQ, ZZ
 
 
@@ -192,6 +192,56 @@ def test_integer_solve_disjunction(entries, seed):
             for i in range(len(diag))
         ) or any(c[i] != 0 for i in range(len(diag), A.rows))
         assert rational is None or broken
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(int_matrices(), st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_sparse_smith_solve_matches_the_dense_factors(entries, seed, solvable):
+    rng = random.Random(seed)
+    A = ExactMatrix(ZZ, entries)
+    if solvable:
+        b = A.mul_vec([rng.randint(-5, 5) for _ in range(A.cols)])
+    else:
+        b = [rng.randint(-9, 9) for _ in range(A.rows)]
+    solver = _SmithSolver(A)
+    snf = smith_normal_form(A)
+    # The reference: c = U b by the dense product, then x = V y.
+    c = snf.U.mul_vec(b)
+    diag = snf.diagonal
+    y = [0] * A.cols
+    expected = []
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if (d == 0 and ci != 0) or (d != 0 and ci % d != 0):
+            expected = None
+            break
+        if d:
+            y[i] = ci // d
+    if expected is not None:
+        expected = snf.V.mul_vec(y)
+    x = solver.solve(b)
+    assert x == expected == integer_solve(A, b)
+    if x is not None:
+        assert A.mul_vec(x) == b
+    elif solvable:
+        raise AssertionError("a consistent integer system was reported unsolvable")
+    # The kept entries are those of U's rows and V's columns.
+    dense_u = [[0] * A.rows for _ in range(A.rows)]
+    for row, (idx, vals) in zip(dense_u, solver.u_rows):
+        for i, v in zip(idx, vals):
+            row[i] = v
+    assert dense_u == snf.U.entries
+    columns = [dict(zip(*col)) for col in solver.v_cols]
+    assert [list(col) for col in zip(*snf.V.entries)] == [[col.get(i, 0) for i in range(A.cols)] for col in columns]
+
+
+def test_sparse_smith_solve_coerces_like_the_dense_product():
+    A = ExactMatrix(ZZ, [[2, 0], [0, 3]])
+    assert integer_solve(A, [Fraction(4), 6]) == [2, 2]
+    with pytest.raises(ValueError):
+        integer_solve(A, [Fraction(1, 2), 0])
+    with pytest.raises(ValueError):
+        integer_solve(A, [True, 0])
 
 
 def test_matrix_shape_errors():
